@@ -177,23 +177,25 @@ def run_bench(
 
     for name in algos:
         t0 = time.perf_counter()
+        # Every query returns (neighbors, stats); only the grid has stats.
         if name == "ghn":
             index = grid.build(train_s, metric)
-            query = lambda q: explore.knn_query(index, q, k, mode)[0]
+            query = lambda q: explore.knn_query(index, q, k, mode)
         elif name == "brute":
-            query = lambda q: baselines.brute_knn(brute, q, k)
+            query = lambda q: (baselines.brute_knn(brute, q, k), None)
         else:
             tree = baselines.kdtree_build(train_s, metric)
-            query = lambda q: baselines.kdtree_knn(tree, q, k)
+            query = lambda q: (baselines.kdtree_knn(tree, q, k), None)
         build_ms = (time.perf_counter() - t0) * 1e3
 
         times = []
-        results = None
+        answers = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            results = [query(q) for q in queries]
+            answers = [query(q) for q in queries]
             times.append((time.perf_counter() - t0) * 1e3)
         total_ms = median(times)
+        results = [nbrs for nbrs, _ in answers]
 
         preds = [_predict(nbrs, task) for nbrs in results]
         recall = float(
@@ -214,7 +216,7 @@ def run_bench(
         else:
             row.rmse = float(np.sqrt(np.mean([(p - t) ** 2 for p, t in zip(preds, truth)])))
         if name == "ghn":
-            stats = [explore.knn_query(index, q, k, mode)[1] for q in queries]
+            stats = [st for _, st in answers]
             row.mean_layers_visited = float(np.mean([s.layers_visited for s in stats]))
             row.mean_cells_visited = float(np.mean([s.cells_visited for s in stats]))
             row.mean_points_scanned = float(np.mean([s.points_scanned for s in stats]))

@@ -1,15 +1,22 @@
 """Layered exploration: k-nearest-neighbor queries over a grid index.
 
 Starting from the query's central cell, cells are visited layer by layer
-(layer l = all cells at Chebyshev distance l in cell-id space). Candidates
-feed a bounded top-k selection; exploration stops either when a full layer
-produces no update (heuristic, may rarely miss) or when a geometric lower
-bound proves no unvisited cell can improve the result (guaranteed).
+(layer l = all cells at Chebyshev distance l in cell-id space). Only
+occupied layers are scanned: each round of the walk binary-searches the
+sorted cell ids for a slab around the query, computes the layer of the
+cells in it and visits them in increasing layer order, gathering their
+points from the index's CSR arrays. Candidates feed a top-k selection
+(a partition threshold, then a lexsort of the survivors by distance and
+index); exploration stops either when a full layer produces no update
+(heuristic, may rarely miss; an empty layer produces none) or when a
+geometric lower bound proves no unvisited cell can improve the result
+(guaranteed).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +26,9 @@ from .core import Neighbor, keys_to_distances, ordering_keys
 from .grid import CellId, GridIndex
 
 STOP_MODES = ("heuristic", "guaranteed")
+# Query cell ids stay within +-2**62, so differences between them and the
+# cell ids of the data cannot overflow int64.
+_MAX_CELL = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -70,68 +80,159 @@ def knn_query(
 
     Modes:
       heuristic  -- stop once the buffer is full and a whole layer caused
-                    no update;
+                    no update (an empty layer causes none);
       guaranteed -- stop only when l * min(width) exceeds the kth distance,
                     which lower-bounds the distance to anything beyond
                     layer l; results then match brute force exactly.
 
     Both modes terminate once the visited layers cover every non-empty
-    cell. Returns neighbors sorted by (distance, point_index), plus stats.
+    cell. Only occupied layers are scanned: the stopping rule is applied
+    to the empty layers between them without visiting them, so the cost
+    does not grow with the query's distance from the data. Returns
+    neighbors sorted by (distance, point_index), plus stats.
+
+    Raises ValueError for a NaN or infinite query, and for one so far
+    from the origin (such as 1e300) that its cell id leaves +-2**62, where
+    int64 cell arithmetic could overflow.
     """
     if mode not in STOP_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {STOP_MODES}")
     q = np.asarray(q, dtype=float)
     if q.shape != (index.dim,):
         raise ValueError(f"dimension mismatch: query {q.shape}, index {index.dim}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"query has a non-finite coordinate: {q}")
     n = index.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
     metric = index.metric
     widths = index.params.widths
-    center = np.floor(q / widths).astype(np.int64)
-    # Chebyshev layer of every non-empty cell; cells beyond the max can
-    # be skipped entirely, which also bounds the exploration for outlier
-    # queries.
-    cheb = np.abs(index.cell_array - center).max(axis=1)
-    max_layer = int(cheb.max())
+    center = np.floor(q / widths)
+    if not np.all(np.abs(center) < _MAX_CELL):
+        raise ValueError(f"query {q} is too far from the origin: its cell id leaves +-2**62")
+    center = center.astype(np.int64)
     min_width = float(widths.min())
 
     best_keys = np.empty(0)
     best_idx = np.empty(0, dtype=np.int64)
     cells_visited = 0
     points_scanned = 0
-    l = 0
-    while True:
-        sel = np.nonzero(cheb == l)[0]  # lexicographic: cell_array is sorted
-        changed = False
-        if sel.size:
-            cand = np.concatenate([index.buckets[j] for j in sel])
-            keys = ordering_keys(q, index.coords[cand], metric)
-            cells_visited += int(sel.size)
-            points_scanned += int(cand.size)
-            all_keys = np.concatenate([best_keys, keys])
-            all_idx = np.concatenate([best_idx, cand])
-            order = np.lexsort((all_idx, all_keys))[:k]
-            new_keys = all_keys[order]
-            new_idx = all_idx[order]
-            changed = new_idx.size != best_idx.size or not np.array_equal(new_idx, best_idx)
-            best_keys, best_idx = new_keys, new_idx
-        layers_visited = l
+    last = -1  # last visited layer
+    for l, cells in _occupied_layers(index, center, k):
+        if best_idx.size == k and l > last + 1:
+            # Layers last+1 .. l-1 are empty: each counts as a layer with
+            # no update whose bound may already exceed the kth distance.
+            if mode == "heuristic":
+                last += 1
+                break
+            stop = _first_bound_past(last + 1, l - 1, min_width, metric, best_keys[-1])
+            if stop is not None:
+                last = stop
+                break
+        cand = _gather(index, cells)
+        keys = ordering_keys(q, index.coords.take(cand, axis=0), metric)
+        cells_visited += int(cells.size)
+        points_scanned += int(cand.size)
+        changed, best_keys, best_idx = _merge(best_keys, best_idx, keys, cand, k)
+        last = l
         if best_idx.size == k:
             if mode == "heuristic" and not changed:
                 break
-            if mode == "guaranteed":
-                bound = l * min_width
-                bound_key = bound * bound if metric == "euclidean" else bound
-                if bound_key > best_keys[-1]:
-                    break
-        if l >= max_layer:
-            break
-        l += 1
+            if mode == "guaranteed" and _bound_key(l, min_width, metric) > best_keys[-1]:
+                break
 
     dists = keys_to_distances(best_keys, metric)
     neighbors = [
         Neighbor(float(d), int(i), index.labels[int(i)])
         for d, i in zip(dists, best_idx)
     ]
-    return neighbors, QueryStats(layers_visited, cells_visited, points_scanned)
+    return neighbors, QueryStats(last, cells_visited, points_scanned)
+
+
+def _occupied_layers(index: GridIndex, center: np.ndarray, k: int):
+    """Yield (l, cell rows) for each occupied layer around center, l ascending.
+
+    Rows of one layer come in lexicographic order. Layers are found in
+    rounds covering l in (done, r]: binary search on the sorted first cell
+    coordinate bounds a round to the slab |c0 - center0| <= r, and r grows
+    by a doubling step. The first round starts at the nearest layer the
+    cells' bounding box allows and spans a cube that would hold about k
+    points if they filled the box evenly; the last ends at the farthest.
+    """
+    cells = index.cell_array
+    c, lo, hi = center.tolist(), index.cell_lo.tolist(), index.cell_hi.tolist()
+    near = max(max(a - x, x - b, 0) for x, a, b in zip(c, lo, hi))
+    far = max(max(x - a, b - x) for x, a, b in zip(c, lo, hi))
+    log_side = math.log(k / index.size) + sum(math.log(b - a + 1) for a, b in zip(lo, hi))
+    done, step = near - 1, max(1, int(math.exp(log_side / len(c)) / 2))
+    while done < far:
+        r = min(done + step, far)
+        a = int(np.searchsorted(cells[:, 0], max(c[0] - r, lo[0]), side="left"))
+        b = int(np.searchsorted(cells[:, 0], min(c[0] + r, hi[0]), side="right"))
+        slab = cells[a:b]
+        cheb = np.abs(slab[:, 0] - center[0])
+        for j in range(1, slab.shape[1]):
+            np.maximum(cheb, np.abs(slab[:, j] - center[j]), out=cheb)
+        rows = np.flatnonzero((cheb > done) & (cheb <= r))
+        done, step = r, 2 * step
+        if rows.size == 0:
+            continue
+        layer = cheb[rows]
+        by_layer = np.argsort(layer, kind="stable")
+        rows, layer = rows[by_layer] + a, layer[by_layer]
+        starts = [0, *(np.flatnonzero(layer[1:] != layer[:-1]) + 1).tolist()]
+        for s, e in zip(starts, [*starts[1:], rows.size]):
+            yield int(layer[s]), rows[s:e]
+
+
+def _gather(index: GridIndex, cells: np.ndarray) -> np.ndarray:
+    """Point indices of the given cells, cell after cell, from the CSR arrays."""
+    starts = index.offsets[cells]
+    ends = index.offsets[cells + 1]
+    if cells.size == 1:
+        return index.order[starts[0] : ends[0]]
+    counts = ends - starts
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return index.order[shift + np.arange(shift.size)]
+
+
+def _merge(best_keys, best_idx, keys, cand, k: int):
+    """Top k of the buffer and the candidates by (key, index); (changed, keys, idx)."""
+    if best_idx.size == k:
+        keep = keys <= best_keys[-1]  # a worse key cannot displace the kth entry
+        if not keep.any():
+            return False, best_keys, best_idx
+        keys, cand = keys[keep], cand[keep]
+    all_keys = np.concatenate([best_keys, keys])
+    all_idx = np.concatenate([best_idx, cand])
+    if all_keys.size > k:
+        # Every tie of the kth key survives, so the lexsort still breaks
+        # ties toward the lower index.
+        keep = all_keys <= np.partition(all_keys, k - 1)[k - 1]
+        all_keys, all_idx = all_keys[keep], all_idx[keep]
+    top = np.lexsort((all_idx, all_keys))[:k]
+    new_keys, new_idx = all_keys[top], all_idx[top]
+    changed = new_idx.size != best_idx.size or not np.array_equal(new_idx, best_idx)
+    return changed, new_keys, new_idx
+
+
+def _bound_key(l: int, min_width: float, metric: str) -> float:
+    """Ordering key of the guaranteed-mode lower bound beyond layer l."""
+    bound = l * min_width
+    return bound * bound if metric == "euclidean" else bound
+
+
+def _first_bound_past(lo: int, hi: int, min_width: float, metric: str, kth) -> int | None:
+    """First layer in [lo, hi] whose bound key exceeds kth, or None.
+
+    The bound key does not decrease with l, so a binary search finds it.
+    """
+    if not _bound_key(hi, min_width, metric) > kth:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _bound_key(mid, min_width, metric) > kth:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

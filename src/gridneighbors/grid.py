@@ -1,21 +1,28 @@
-"""Virtual grid fitting and the cell -> points hash table (training phase).
+"""Virtual grid fitting and the cell -> points index (training phase).
 
 Cell widths are fitted per dimension by splitting the data range into the
 largest number of equal bins that leaves no bin empty; points are then
 hashed to integer cell ids by floor division of raw coordinates by the
-fitted widths.
+fitted widths. The index stores the non-empty cells in CSR layout: sorted
+cell ids, the point indices sorted by cell, and one start offset per cell
+(the cell-sorted array with cell start offsets of S. Green, "Particle
+Simulation using CUDA", NVIDIA 2010). The binary file holds the same
+arrays, so loading reads them back without rebuilding anything.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledPoint, _check_metric
+from .core import METRICS, LabeledPoint, _check_metric
 
 CellId = tuple[int, ...]
 
@@ -36,8 +43,8 @@ class GridParams:
         object.__setattr__(self, "widths", np.asarray(self.widths, dtype=float))
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "splits", np.asarray(self.splits, dtype=np.int64))
-        if np.any(self.widths <= 0):
-            raise ValueError("all cell widths must be positive")
+        if not np.all((self.widths > 0) & np.isfinite(self.widths)):
+            raise ValueError("all cell widths must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -126,11 +133,13 @@ def _hash_all(coords: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 
 class GridIndex:
-    """Immutable cell -> point-indices hash table over a training set.
+    """Immutable grid index over a training set, in CSR layout.
 
-    Cells are stored both as a dict (point lookup by cell id) and as a
-    lexicographically sorted id matrix with aligned buckets, which the
-    exploration phase scans when grouping cells into layers.
+    CSR ("compressed sparse row") is three arrays: cell_array holds the ids
+    of the non-empty cells, sorted lexicographically; order holds the point
+    indices sorted by cell, input order kept inside each cell; and the
+    points of cell i are order[offsets[i]:offsets[i + 1]]. The query walks
+    these arrays directly and save_index writes them as they are.
     """
 
     def __init__(
@@ -140,18 +149,20 @@ class GridIndex:
         labels: Sequence[object],
         metric: str,
         cell_array: np.ndarray,
-        buckets: list[np.ndarray],
+        order: np.ndarray,
+        offsets: np.ndarray,
     ):
         self.params = params
         self.coords = coords
         self.labels = labels
         self.metric = metric
         self.cell_array = cell_array
-        self.buckets = buckets
-        self.table: dict[CellId, np.ndarray] = {
-            tuple(int(v) for v in row): bucket
-            for row, bucket in zip(cell_array, buckets)
-        }
+        self.order = order
+        self.offsets = offsets
+        # Bounding box of the non-empty cells: a query's first and last
+        # occupied layers are bounded by its Chebyshev distance to it.
+        self.cell_lo = cell_array.min(axis=0)
+        self.cell_hi = cell_array.max(axis=0)
 
     @property
     def size(self) -> int:
@@ -160,6 +171,15 @@ class GridIndex:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
+
+    @cached_property
+    def table(self) -> dict[CellId, np.ndarray]:
+        """Cell id -> point indices of that cell, built on first use."""
+        bounds = self.offsets.tolist()
+        return {
+            tuple(row): self.order[a:b]
+            for row, a, b in zip(self.cell_array.tolist(), bounds[:-1], bounds[1:])
+        }
 
 
 def build(
@@ -170,7 +190,7 @@ def build(
 ) -> GridIndex:
     """Build the grid index: fit widths, hash every point into its cell.
 
-    Bucket lists preserve the input order of points. Pass explicit params
+    Points keep their input order inside each cell. Pass explicit params
     to skip fitting (useful for constructed scenarios).
     """
     _check_metric(metric)
@@ -184,15 +204,15 @@ def build(
     n, d = coords.shape
     ids = _hash_all(coords, params.widths)
     # Sort rows lexicographically by cell id, then by original index so
-    # buckets keep input order.
+    # each cell keeps input order.
     keys = (np.arange(n),) + tuple(ids[:, j] for j in range(d - 1, -1, -1))
     order = np.lexsort(keys)
     sorted_ids = ids[order]
     new_cell = np.any(sorted_ids[1:] != sorted_ids[:-1], axis=1)
-    starts = np.concatenate(([0], np.nonzero(new_cell)[0] + 1))
-    cell_array = sorted_ids[starts]
-    buckets = np.split(order, starts[1:])
-    return GridIndex(params, coords, labels, metric, cell_array, buckets)
+    starts = np.flatnonzero(new_cell) + 1
+    cell_array = sorted_ids[np.concatenate(([0], starts))]
+    offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
+    return GridIndex(params, coords, labels, metric, cell_array, order, offsets)
 
 
 def cell_points(index: GridIndex, cell) -> list[int]:
@@ -206,28 +226,38 @@ def cell_points(index: GridIndex, cell) -> list[int]:
 
 _MAGIC = b"GHNIDX\x01\n"
 _ARRAY_FIELDS = ("widths", "origin", "splits", "coords", "labels", "cell_ids", "offsets", "order")
+# dtype kind of each array but labels, which may be any numeric or string dtype.
+_KINDS = {
+    "widths": "f",
+    "origin": "f",
+    "splits": "i",
+    "coords": "f",
+    "cell_ids": "i",
+    "offsets": "i",
+    "order": "i",
+}
 
 
 def save_index(index: GridIndex, path) -> None:
     """Write the index to a deterministic binary file.
 
     Layout: magic, length-prefixed JSON header (metric plus array dtypes
-    and shapes), then the raw bytes of each array in a fixed order.
+    and shapes), then the raw bytes of each array in a fixed order. The
+    offsets and order arrays are the index's CSR arrays, written as is.
     save -> load -> save reproduces the file byte for byte.
     """
     labels = np.asarray(index.labels)
     if labels.dtype == object:
         raise ValueError("labels must be numeric or strings to serialize")
-    offsets = np.cumsum([0] + [b.size for b in index.buckets]).astype(np.int64)
     arrays = {
         "widths": index.params.widths,
         "origin": index.params.origin,
         "splits": index.params.splits,
-        "coords": np.ascontiguousarray(index.coords),
-        "labels": np.ascontiguousarray(labels),
-        "cell_ids": np.ascontiguousarray(index.cell_array),
-        "offsets": offsets,
-        "order": np.concatenate(index.buckets) if index.buckets else np.empty(0, np.int64),
+        "coords": index.coords,
+        "labels": labels,
+        "cell_ids": index.cell_array,
+        "offsets": index.offsets,
+        "order": index.order,
     }
     header = {
         "version": 1,
@@ -247,31 +277,92 @@ def save_index(index: GridIndex, path) -> None:
 
 
 def load_index(path) -> GridIndex:
-    """Read an index written by save_index."""
+    """Read an index written by save_index.
+
+    The file is checked before it is used: every array must be complete
+    and shaped as the header and the other arrays say, offsets must rise
+    strictly from 0 to n, order must be a permutation of 0..n-1 and cell
+    ids must be strictly increasing. Any change to the order region breaks
+    the permutation; a change to the offsets region is caught when it
+    breaks the strict rise. Coordinates and labels are not checksummed.
+    Raises ValueError naming the path for a truncated or corrupt file.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a grid index file")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len))
-        if header.get("version") != 1:
-            raise ValueError(f"{path}: unsupported index version")
+        head = fh.read(4)
+        if len(head) != 4:
+            raise ValueError(f"{path}: truncated header")
+        (blob_len,) = struct.unpack("<I", head)
+        try:
+            header = json.loads(fh.read(blob_len))
+            if header.get("version") != 1:
+                raise ValueError("unsupported index version")
+            metric = header["metric"]
+            layout = [
+                (name, np.dtype(header["arrays"][name]["dtype"]), tuple(header["arrays"][name]["shape"]))
+                for name in _ARRAY_FIELDS
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad header: {exc}") from None
+        for name, dtype, shape in layout:
+            if dtype.hasobject or not all(type(v) is int and v >= 0 for v in shape):
+                raise ValueError(f"{path}: corrupt header entry for {name}")
+        if metric not in METRICS:
+            raise ValueError(f"{path}: unknown metric {metric!r}")
+        sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in layout]
+        if os.fstat(fh.fileno()).st_size != fh.tell() + sum(sizes):
+            raise ValueError(f"{path}: file size does not match its header (truncated?)")
         arrays = {}
-        for name in _ARRAY_FIELDS:
-            meta = header["arrays"][name]
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(dtype.itemsize * count)
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    params = GridParams(arrays["widths"], arrays["origin"], arrays["splits"])
-    offsets = arrays["offsets"]
-    order = arrays["order"].astype(np.int64)
-    buckets = [order[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)]
+        for name, dtype, shape in layout:
+            arrays[name] = np.empty(shape, dtype=dtype)
+            if fh.readinto(arrays[name]) != arrays[name].nbytes:
+                raise ValueError(f"{path}: truncated in the {name} array")
+    offsets, order = _check_arrays(path, arrays)
+    try:
+        params = GridParams(arrays["widths"], arrays["origin"], arrays["splits"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return GridIndex(
-        params,
-        arrays["coords"],
-        arrays["labels"],
-        header["metric"],
-        arrays["cell_ids"],
-        buckets,
+        params, arrays["coords"], arrays["labels"], metric, arrays["cell_ids"], order, offsets
     )
+
+
+def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Structural checks of a loaded index, in O(n + C*d).
+
+    Returns the offsets and order arrays as int64, the dtype the query uses.
+    """
+    coords, cells = arrays["coords"], arrays["cell_ids"]
+    if coords.ndim != 2 or cells.ndim != 2 or coords.size == 0:
+        raise ValueError(f"{path}: coords and cell_ids must be non-empty matrices")
+    (n, d), c = coords.shape, cells.shape[0]
+    expected = {
+        "widths": (d,),
+        "origin": (d,),
+        "splits": (d,),
+        "coords": (n, d),
+        "labels": (n,),
+        "cell_ids": (c, d),
+        "offsets": (c + 1,),
+        "order": (n,),
+    }
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+    for name, kind in _KINDS.items():
+        if arrays[name].dtype.kind != kind:
+            raise ValueError(f"{path}: {name} has dtype {arrays[name].dtype}, expected kind {kind!r}")
+    offsets = arrays["offsets"].astype(np.int64, copy=False)
+    if offsets[0] != 0 or offsets[-1] != n or np.any(offsets[1:] <= offsets[:-1]):
+        raise ValueError(f"{path}: offsets do not rise strictly from 0 to {n}")
+    order = arrays["order"].astype(np.int64, copy=False)
+    if order.min() < 0 or order.max() >= n or np.any(np.bincount(order, minlength=n) != 1):
+        raise ValueError(f"{path}: order is not a permutation of 0..{n - 1}")
+    prev, nxt = cells[:-1], cells[1:]
+    differ = prev != nxt
+    first = differ.argmax(axis=1)
+    rows = np.arange(c - 1)
+    if not differ.any(axis=1).all() or np.any(nxt[rows, first] < prev[rows, first]):
+        raise ValueError(f"{path}: cell ids are not strictly increasing")
+    return offsets, order

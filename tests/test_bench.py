@@ -75,6 +75,16 @@ class TestRunBench:
         assert row.mean_points_scanned > 0
         assert row.mean_layers_visited >= 0
 
+    def test_ghn_queries_run_once_per_timed_pass(self, rng, monkeypatch):
+        from gridneighbors import explore
+
+        calls = []
+        real = explore.knn_query
+        monkeypatch.setattr(explore, "knn_query", lambda *a: calls.append(1) or real(*a))
+        pts, _ = clustered(rng, 200, 2)
+        report = run_bench(pts, algos=("ghn",), k=3, task="classification", seed=4, repeats=2)
+        assert len(calls) == 2 * report.env["n_test"]
+
 
 class TestCli:
     def test_json_report(self, tmp_path):

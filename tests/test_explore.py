@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -165,3 +168,46 @@ class TestKnnQuery:
         for mode in ("heuristic", "guaranteed"):
             got, _ = knn_query(index, (1e5, -1e5), 3, mode)
             assert len(got) == 3
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail a call that runs past `seconds` instead of hanging the suite.
+
+    Uses the process's interval timer: no thread or subprocess is started.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"query ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestQueryBoundaries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+    @pytest.mark.parametrize("mode", ["heuristic", "guaranteed"])
+    def test_non_finite_and_huge_queries_rejected(self, rng, bad, mode):
+        pts, _ = clustered(rng, 200, 2)
+        index = build(pts)
+        with _deadline(5), pytest.raises(ValueError):
+            knn_query(index, (bad, 1.0), 3, mode)
+
+    @pytest.mark.parametrize("mode", ["heuristic", "guaranteed"])
+    def test_far_query_skips_empty_layers(self, rng, mode):
+        # 1e12 lies about 1e11 cell widths from the data: walking the
+        # empty layers one by one would never finish.
+        pts, _ = clustered(rng, 300, 2)
+        index = build(pts)
+        bi = brute_build(pts)
+        for q in ((1e5, 1e5), (1e12, -1e12), (-3e13, 2.5)):
+            with _deadline(5):
+                got, _ = knn_query(index, q, 3, mode)
+            assert len(got) == 3
+            if mode == "guaranteed":
+                assert as_pairs(got) == as_pairs(brute_knn(bi, q, 3))

@@ -1,3 +1,7 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +12,14 @@ from gridneighbors import (
     cell_points,
     fit_cell_measurements,
     hash_cell,
+    knn_query,
     load_index,
     points_from_arrays,
     save_index,
 )
-from gridneighbors.grid import _max_splits_1d
+from gridneighbors.grid import _ARRAY_FIELDS, _max_splits_1d
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "index_v1.ghn"
 
 
 def _pts(rows):
@@ -182,4 +189,91 @@ class TestSerialization:
         path = tmp_path / "junk.ghn"
         path.write_bytes(b"not an index")
         with pytest.raises(ValueError):
+            load_index(path)
+
+    def test_table_is_built_on_first_use(self, rng):
+        X = rng.normal(0, 2, (50, 2))
+        index = build(points_from_arrays(X, [0] * 50))
+        assert "table" not in vars(index)
+        assert sum(len(b) for b in index.table.values()) == 50
+        assert "table" in vars(index)
+
+
+def _golden_data():
+    rng = np.random.default_rng(2020)
+    X = np.round(rng.normal(0, 2, (40, 2)), 3)
+    return X, rng.integers(0, 3, 40)
+
+
+def _regions(data: bytes) -> dict:
+    """Byte range of each array in an index file, from its header."""
+    (blob_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + blob_len])
+    pos, out = 12 + blob_len, {}
+    for name in _ARRAY_FIELDS:
+        meta = header["arrays"][name]
+        size = np.dtype(meta["dtype"]).itemsize * int(np.prod(meta["shape"]))
+        out[name] = (pos, pos + size)
+        pos += size
+    return out
+
+
+class TestIndexFileChecks:
+    def test_golden_file_loads_and_rebuilds_byte_identically(self, tmp_path):
+        # tests/data/index_v1.ghn was written by the bucket-list layout
+        # that preceded CSR; the format must not change.
+        X, y = _golden_data()
+        loaded = load_index(GOLDEN)
+        built = build(points_from_arrays(X, y))
+        save_index(built, tmp_path / "built.ghn")
+        save_index(loaded, tmp_path / "resaved.ghn")
+        assert (tmp_path / "built.ghn").read_bytes() == GOLDEN.read_bytes()
+        assert (tmp_path / "resaved.ghn").read_bytes() == GOLDEN.read_bytes()
+        for q in [(0.1, -0.2), (3.0, 3.0), (-40.0, 7.0)]:
+            for mode in ("heuristic", "guaranteed"):
+                a, sa = knn_query(loaded, q, 4, mode)
+                b, sb = knn_query(built, q, 4, mode)
+                assert [(n.distance, n.point_index, n.label) for n in a] == [
+                    (n.distance, n.point_index, n.label) for n in b
+                ]
+                assert sa == sb
+
+    def test_truncated_file_rejected_naming_the_path(self, tmp_path):
+        data = GOLDEN.read_bytes()
+        path = tmp_path / "cut.ghn"
+        for cut in range(0, len(data), 7):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="cut.ghn"):
+                load_index(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ghn"
+        path.write_bytes(GOLDEN.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="long.ghn"):
+            load_index(path)
+
+    @pytest.mark.parametrize("region", ["offsets", "order"])
+    def test_every_flipped_byte_in_csr_arrays_rejected(self, tmp_path, region):
+        # One point per cell: offsets are 0..n, so any change to one entry
+        # breaks the strict rise; any change to a permutation breaks it.
+        X = np.arange(30.0).reshape(-1, 1)
+        index = build(points_from_arrays(X, [0] * 30), params=GridParams([1.0], [0.0], [30]))
+        good = tmp_path / "good.ghn"
+        save_index(index, good)
+        data = good.read_bytes()
+        start, end = _regions(data)[region]
+        path = tmp_path / "flipped.ghn"
+        for pos in range(start, end):
+            path.write_bytes(data[:pos] + bytes([data[pos] ^ 0xFF]) + data[pos + 1 :])
+            with pytest.raises(ValueError, match="flipped.ghn"):
+                load_index(path)
+
+    def test_unsorted_cell_ids_rejected(self, tmp_path):
+        data = bytearray(GOLDEN.read_bytes())
+        start, end = _regions(bytes(data))["cell_ids"]
+        cells = np.frombuffer(bytes(data[start:end]), dtype="<i8").reshape(-1, 2)
+        data[start:end] = cells[::-1].tobytes()
+        path = tmp_path / "unsorted.ghn"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="cell ids"):
             load_index(path)
