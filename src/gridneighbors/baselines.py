@@ -17,10 +17,10 @@ from .core import (
     Neighbor,
     NeighborBuffer,
     _check_metric,
+    as_points,
     keys_to_distances,
     ordering_keys,
 )
-from .grid import _coords_matrix
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class BruteIndex:
 
 def brute_build(data: Sequence[LabeledPoint], metric: str = "euclidean") -> BruteIndex:
     _check_metric(metric)
-    return BruteIndex(_coords_matrix(data), [p.label for p in data], metric)
+    points = as_points(data)
+    return BruteIndex(points.coords, points.labels, metric)
 
 
 def brute_knn(index: BruteIndex, q, k: int) -> list[Neighbor]:
@@ -80,8 +81,8 @@ class KdTree:
         _check_metric(metric)
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
-        self.coords = _coords_matrix(data)
-        self.labels = [p.label for p in data]
+        points = as_points(data)
+        self.coords, self.labels = points.coords, points.labels
         self.metric = metric
         self.leaf_size = leaf_size
         self.root = self._build(np.arange(self.coords.shape[0]))

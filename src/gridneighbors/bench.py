@@ -10,14 +10,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import median
 from typing import Sequence
 
 import numpy as np
 
 from . import baselines, datasets, explore, grid, predict
-from .core import LabeledPoint, METRICS
+from .core import METRICS, LabeledPoint
 
 SCHEMA_VERSION = 1
 ALGOS = ("ghn", "brute", "kdtree")
@@ -41,22 +41,7 @@ class AlgoResult:
     mean_points_scanned: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"name": self.name}
-        for key in (
-            "build_ms",
-            "total_predict_ms",
-            "mean_query_ms",
-            "recall_at_k",
-            "accuracy",
-            "rmse",
-            "mean_layers_visited",
-            "mean_cells_visited",
-            "mean_points_scanned",
-        ):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return {key: val for key, val in asdict(self).items() if val is not None}
 
 
 @dataclass
@@ -74,32 +59,23 @@ class BenchReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def to_csv(self) -> str:
+    def _columns(self) -> tuple[list[str], list[list[str]]]:
+        """Report columns in first-seen order, and each row's formatted cells."""
         rows = [a.to_dict() for a in self.algorithms]
-        cols: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_cell(row.get(c)) for c in cols))
-        return "\n".join(lines) + "\n"
+        cols = list(dict.fromkeys(key for row in rows for key in row))
+        return cols, [[_cell(row.get(c)) for c in cols] for row in rows]
+
+    def to_csv(self) -> str:
+        cols, table = self._columns()
+        return "\n".join(",".join(line) for line in [cols, *table]) + "\n"
 
     def to_markdown(self) -> str:
-        rows = [a.to_dict() for a in self.algorithms]
-        cols: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        table = [[_cell(row.get(c)) for c in cols] for row in rows]
+        cols, table = self._columns()
         widths = [max(len(c), *(len(r[i]) for r in table)) for i, c in enumerate(cols)]
-        head = "| " + " | ".join(c.ljust(w) for c, w in zip(cols, widths)) + " |"
-        sep = "| " + " | ".join("-" * w for w in widths) + " |"
-        body = ["| " + " | ".join(v.ljust(w) for v, w in zip(row, widths)) + " |" for row in table]
+        rule = ["-" * w for w in widths]
+        lines = ["| " + " | ".join(v.ljust(w) for v, w in zip(row, widths)) + " |" for row in [cols, rule, *table]]
         meta = ", ".join(f"{k}={v}" for k, v in sorted(self.env.items()))
-        return "\n".join([f"<!-- schema_version={SCHEMA_VERSION}; {meta} -->", head, sep] + body) + "\n"
+        return "\n".join([f"<!-- schema_version={SCHEMA_VERSION}; {meta} -->", *lines]) + "\n"
 
 
 def _cell(v) -> str:
@@ -136,35 +112,31 @@ def run_bench(
     """
     if isinstance(data, datasets.DatasetSpec):
         task = data.task
-        points = datasets.load_csv(data)
-    else:
-        if task is None:
-            raise ValueError("task is required when passing points directly")
-        points = list(data)
+        data = datasets.load_csv(data)
+    elif task is None:
+        raise ValueError("task is required when passing points directly")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     unknown = set(algos) - set(ALGOS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
 
-    train, test = datasets.split(points, split_fraction, seed)
+    train, test = datasets.split(data, split_fraction, seed)
     if k > len(train):
         raise ValueError(f"k={k} exceeds training size {len(train)}")
     scaler = datasets.fit_scaler(train, scaler_kind)
     train_s = datasets.apply_scaler(scaler, train)
     test_s = datasets.apply_scaler(scaler, test)
-    queries = [p.coords for p in test_s]
-    truth = [p.label for p in test_s]
 
     # Exact neighbor sets, for recall and (optionally) the brute row.
     brute = baselines.brute_build(train_s, metric)
-    exact_sets = [frozenset(n.point_index for n in baselines.brute_knn(brute, q, k)) for q in queries]
+    exact_sets = [frozenset(n.point_index for n in baselines.brute_knn(brute, q, k)) for q in test_s.coords]
 
     env = {
         "seed": seed,
         "n_train": len(train),
         "n_test": len(test),
-        "d": train_s[0].dim,
+        "d": train_s.coords.shape[1],
         "k": k,
         "mode": mode,
         "scaler": scaler_kind,
@@ -192,7 +164,7 @@ def run_bench(
         answers = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            answers = [query(q) for q in queries]
+            answers = [query(q) for q in test_s.coords]
             times.append((time.perf_counter() - t0) * 1e3)
         total_ms = median(times)
         results = [nbrs for nbrs, _ in answers]
@@ -208,13 +180,13 @@ def run_bench(
             name=name,
             build_ms=build_ms,
             total_predict_ms=total_ms,
-            mean_query_ms=total_ms / len(queries),
+            mean_query_ms=total_ms / len(test_s),
             recall_at_k=recall,
         )
         if task == "classification":
-            row.accuracy = float(np.mean([p == t for p, t in zip(preds, truth)]))
+            row.accuracy = float(np.mean([p == t for p, t in zip(preds, test_s.labels)]))
         else:
-            row.rmse = float(np.sqrt(np.mean([(p - t) ** 2 for p, t in zip(preds, truth)])))
+            row.rmse = float(np.sqrt(np.mean([(p - t) ** 2 for p, t in zip(preds, test_s.labels)])))
         if name == "ghn":
             stats = [st for _, st in answers]
             row.mean_layers_visited = float(np.mean([s.layers_visited for s in stats]))

@@ -1,14 +1,16 @@
 """Core domain types shared by every search strategy.
 
-Labeled training points, neighbor records, distance metrics, and the
-bounded top-k buffer that drives the exploration stopping rule.
+Labeled training points and the PointSet (a coords matrix plus labels)
+that carries them between stages, neighbor records, distance metrics,
+and the bounded top-k buffer that drives the exploration stopping rule.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,14 +43,53 @@ class LabeledPoint:
         return self.coords.shape[0]
 
 
-def points_from_arrays(coords, labels) -> list[LabeledPoint]:
+class PointSet(Sequence):
+    """n labeled points: an (n, d) float matrix and a list of n labels.
+
+    Indexing builds LabeledPoint(coords[i], labels[i], i) on demand; the
+    set-up functions read .coords and .labels and build no per-row object.
+    """
+
+    def __init__(self, coords, labels):
+        # A read-only copy: an index built from the set shares this matrix.
+        self.coords = np.array(coords, dtype=float)
+        self.coords.flags.writeable = False
+        self.labels = list(labels)
+        if self.coords.ndim != 2:
+            raise ValueError("coords must be an (n, d) matrix")
+        if len(self.labels) != self.coords.shape[0]:
+            raise ValueError("labels length must match the number of rows")
+        bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=1))
+        if bad.size:
+            raise ValueError(f"point {bad[0]}: non-finite coordinate")
+
+    def __len__(self) -> int:
+        return self.coords.shape[0]
+
+    def __getitem__(self, i) -> LabeledPoint:
+        i = range(len(self))[i]  # wraps a negative index, raises IndexError past the end
+        return LabeledPoint(self.coords[i], self.labels[i], i)
+
+
+def points_from_arrays(coords, labels) -> PointSet:
     """Wrap an (n, d) feature matrix and a length-n label sequence."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ValueError("coords must be an (n, d) matrix")
-    if len(labels) != coords.shape[0]:
-        raise ValueError("labels length must match the number of rows")
-    return [LabeledPoint(row, lab, i) for i, (row, lab) in enumerate(zip(coords, labels))]
+    return PointSet(coords, labels)
+
+
+def as_points(data: Sequence[LabeledPoint]) -> PointSet:
+    """data itself if it is a PointSet, else its points stacked once into one.
+
+    Raises ValueError for an empty dataset or for points of mixed dimensions.
+    """
+    points = data if isinstance(data, PointSet) else list(data)
+    if len(points) == 0:
+        raise ValueError("empty dataset")
+    if isinstance(points, PointSet):
+        return points
+    dims = {p.dim for p in points}
+    if len(dims) != 1:
+        raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
+    return PointSet(np.stack([p.coords for p in points]), [p.label for p in points])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Dataset plumbing for the benchmark harness: CSV loading, train/test
-splitting, and feature scaling."""
+splitting, and feature scaling.
+
+Each step returns a PointSet and works on its whole coords matrix; a
+list of LabeledPoint is also accepted and stacked once by as_points.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledPoint
+from .core import LabeledPoint, PointSet, as_points
 
 SCALER_KINDS = ("standard", "minmax", "none")
 
@@ -30,7 +34,7 @@ class DatasetSpec:
             raise ValueError(f"unknown task {self.task!r}")
 
 
-def load_csv(spec: DatasetSpec) -> list[LabeledPoint]:
+def load_csv(spec: DatasetSpec) -> PointSet:
     """Parse a CSV into labeled points.
 
     Classification labels are mapped to dense class ids in order of first
@@ -38,8 +42,7 @@ def load_csv(spec: DatasetSpec) -> list[LabeledPoint]:
     preserved.
     """
     with open(spec.path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     start_line = 1
     header: list[str] | None = None
     if spec.has_header:
@@ -67,18 +70,17 @@ def load_csv(spec: DatasetSpec) -> list[LabeledPoint]:
                 f"{spec.path}: unknown label column {spec.label_column!r}; have {header}"
             ) from None
 
-    points: list[LabeledPoint] = []
+    coords: list[list[float]] = []
+    labels: list[object] = []
     class_ids: dict[str, int] = {}
-    for i, row in enumerate(rows):
-        line = start_line + i
+    for line, row in enumerate(rows, start_line):
         if len(row) != ncols:
             raise DatasetError(
                 f"{spec.path}: line {line}: expected {ncols} columns, got {len(row)}"
             )
         raw_label = row[label_idx]
-        features = [v for j, v in enumerate(row) if j != label_idx]
         try:
-            coords = [float(v) for v in features]
+            coords.append([float(v) for j, v in enumerate(row) if j != label_idx])
         except ValueError as exc:
             raise DatasetError(f"{spec.path}: line {line}: non-numeric feature: {exc}") from None
         if spec.task == "classification":
@@ -90,27 +92,27 @@ def load_csv(spec: DatasetSpec) -> list[LabeledPoint]:
                 raise DatasetError(
                     f"{spec.path}: line {line}: non-numeric regression target {raw_label!r}"
                 ) from None
-        points.append(LabeledPoint(np.asarray(coords), label, len(points)))
-    return points
+        labels.append(label)
+    return PointSet(coords, labels)
 
 
 def split(
     data: Sequence[LabeledPoint], fraction: float, seed: int
-) -> tuple[list[LabeledPoint], list[LabeledPoint]]:
+) -> tuple[PointSet, PointSet]:
     """Deterministic shuffled train/test split; |train| = round(fraction*n).
 
     Points are re-indexed within each side so indices stay ordinal.
     """
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
-    n = len(data)
+    points = as_points(data)
+    n = len(points)
     n_train = round(fraction * n)
     if n_train == 0 or n_train == n:
         raise ValueError(f"degenerate split: {n_train}/{n - n_train} from n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    train = [LabeledPoint(data[j].coords, data[j].label, i) for i, j in enumerate(perm[:n_train])]
-    test = [LabeledPoint(data[j].coords, data[j].label, i) for i, j in enumerate(perm[n_train:])]
-    return train, test
+    sides = perm[:n_train], perm[n_train:]
+    return tuple(PointSet(points.coords[s], [points.labels[j] for j in s.tolist()]) for s in sides)
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,7 @@ def fit_scaler(train: Sequence[LabeledPoint], kind: str) -> Scaler:
     """
     if kind not in SCALER_KINDS:
         raise ValueError(f"unknown scaler {kind!r}; expected one of {SCALER_KINDS}")
-    if not train:
-        raise ValueError("empty training split")
-    coords = np.stack([p.coords for p in train])
+    coords = as_points(train).coords
     d = coords.shape[1]
     if kind == "none":
         return Scaler(kind, np.zeros(d), np.ones(d))
@@ -157,7 +157,6 @@ def fit_scaler(train: Sequence[LabeledPoint], kind: str) -> Scaler:
     return Scaler("minmax", shift, scale)
 
 
-def apply_scaler(scaler: Scaler, points: Sequence[LabeledPoint]) -> list[LabeledPoint]:
-    return [
-        LabeledPoint(scaler.transform(p.coords), p.label, p.index) for p in points
-    ]
+def apply_scaler(scaler: Scaler, points: Sequence[LabeledPoint]) -> PointSet:
+    points = as_points(points)
+    return PointSet(scaler.transform(points.coords), points.labels)

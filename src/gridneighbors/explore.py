@@ -18,17 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import Neighbor, keys_to_distances, ordering_keys
-from .grid import CellId, GridIndex
+from .grid import CellId, GridIndex, _cell_ids
 
 STOP_MODES = ("heuristic", "guaranteed")
-# Query cell ids stay within +-2**62, so differences between them and the
-# cell ids of the data cannot overflow int64.
-_MAX_CELL = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,10 @@ def knn_query(
         raise ValueError(f"k={k} out of range [1, {n}]")
     metric = index.metric
     widths = index.params.widths
-    center = np.floor(q / widths)
-    if not np.all(np.abs(center) < _MAX_CELL):
-        raise ValueError(f"query {q} is too far from the origin: its cell id leaves +-2**62")
-    center = center.astype(np.int64)
+    try:
+        center = _cell_ids(q, widths)
+    except ValueError as exc:
+        raise ValueError(f"query {q}: {exc}") from None
     min_width = float(widths.min())
 
     best_keys = np.empty(0)

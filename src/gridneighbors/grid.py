@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import METRICS, LabeledPoint, _check_metric
+from .core import METRICS, LabeledPoint, _check_metric, as_points
 
 CellId = tuple[int, ...]
 
@@ -89,15 +89,6 @@ def _max_splits_1d(values: np.ndarray, cap: int | None) -> tuple[int, float]:
     return 1, span
 
 
-def _coords_matrix(data: Sequence[LabeledPoint]) -> np.ndarray:
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    dims = {p.dim for p in data}
-    if len(dims) != 1:
-        raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
-    return np.stack([p.coords for p in data])
-
-
 def fit_cell_measurements(
     data: Sequence[LabeledPoint], max_splits: int | None = None
 ) -> GridParams:
@@ -107,7 +98,7 @@ def fit_cell_measurements(
     every bin of its value range occupied; the cell width is range/splits.
     Constant dimensions fall back to a single split of width 1.
     """
-    coords = _coords_matrix(data)
+    coords = as_points(data).coords
     d = coords.shape[1]
     widths = np.empty(d)
     splits = np.empty(d, dtype=np.int64)
@@ -128,10 +119,20 @@ def hash_cell(p, params: GridParams) -> CellId:
     return tuple(int(v) for v in np.floor(p / params.widths))
 
 
-def _hash_all(coords: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    return np.floor(coords / widths).astype(np.int64)
+def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """floor(x / widths) as int64, for one point or a matrix of points.
+
+    Raises ValueError when an id leaves +-2**62. Within that bound the cast
+    cannot overflow, and neither can the difference of two ids, which the
+    query's layer arithmetic takes.
+    """
+    ids = np.floor(x / widths)
+    if not np.all(np.abs(ids) < 2.0**62):
+        raise ValueError("coordinates too far from the origin: a cell id leaves +-2**62")
+    return ids.astype(np.int64)
 
 
+@dataclass(eq=False)
 class GridIndex:
     """Immutable grid index over a training set, in CSR layout.
 
@@ -142,27 +143,19 @@ class GridIndex:
     these arrays directly and save_index writes them as they are.
     """
 
-    def __init__(
-        self,
-        params: GridParams,
-        coords: np.ndarray,
-        labels: Sequence[object],
-        metric: str,
-        cell_array: np.ndarray,
-        order: np.ndarray,
-        offsets: np.ndarray,
-    ):
-        self.params = params
-        self.coords = coords
-        self.labels = labels
-        self.metric = metric
-        self.cell_array = cell_array
-        self.order = order
-        self.offsets = offsets
+    params: GridParams
+    coords: np.ndarray
+    labels: Sequence[object]
+    metric: str
+    cell_array: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self) -> None:
         # Bounding box of the non-empty cells: a query's first and last
         # occupied layers are bounded by its Chebyshev distance to it.
-        self.cell_lo = cell_array.min(axis=0)
-        self.cell_hi = cell_array.max(axis=0)
+        self.cell_lo = self.cell_array.min(axis=0)
+        self.cell_hi = self.cell_array.max(axis=0)
 
     @property
     def size(self) -> int:
@@ -194,15 +187,13 @@ def build(
     to skip fitting (useful for constructed scenarios).
     """
     _check_metric(metric)
-    data = list(data)
-    coords = _coords_matrix(data)
-    labels = [p.label for p in data]
+    points = as_points(data)
     if params is None:
-        params = fit_cell_measurements(data, max_splits)
-    elif params.dim != coords.shape[1]:
+        params = fit_cell_measurements(points, max_splits)
+    elif params.dim != points.coords.shape[1]:
         raise ValueError("params dimension does not match the data")
-    n, d = coords.shape
-    ids = _hash_all(coords, params.widths)
+    n, d = points.coords.shape
+    ids = _cell_ids(points.coords, params.widths)
     # Sort rows lexicographically by cell id, then by original index so
     # each cell keeps input order.
     keys = (np.arange(n),) + tuple(ids[:, j] for j in range(d - 1, -1, -1))
@@ -212,7 +203,7 @@ def build(
     starts = np.flatnonzero(new_cell) + 1
     cell_array = sorted_ids[np.concatenate(([0], starts))]
     offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
-    return GridIndex(params, coords, labels, metric, cell_array, order, offsets)
+    return GridIndex(params, points.coords, points.labels, metric, cell_array, order, offsets)
 
 
 def cell_points(index: GridIndex, cell) -> list[int]:

@@ -120,3 +120,44 @@ class TestCli:
             ])
             outs.append(strip_timing(json.loads(out.read_text())))
         assert outs[0] == outs[1]
+
+
+class TestReportText:
+    """Exact CSV and markdown text of a hand-built two-row report."""
+
+    def _report(self):
+        from gridneighbors.bench import AlgoResult, BenchReport
+
+        return BenchReport(
+            env={"seed": 0, "k": 3, "mode": "heuristic"},
+            algorithms=[
+                AlgoResult("ghn", 1.5, 20.25, 0.125, 0.9876543, accuracy=0.95, mean_layers_visited=1.25,
+                           mean_cells_visited=9.5, mean_points_scanned=123.456789),
+                AlgoResult("brute", 0.0, 40.0, 0.25, 1.0, accuracy=0.96),
+            ],
+        )
+
+    def test_csv(self):
+        assert self._report().to_csv() == (
+            "name,build_ms,total_predict_ms,mean_query_ms,recall_at_k,accuracy,"
+            "mean_layers_visited,mean_cells_visited,mean_points_scanned\n"
+            "ghn,1.5,20.25,0.125,0.987654,0.95,1.25,9.5,123.457\n"
+            "brute,0,40,0.25,1,0.96,,,\n"
+        )
+
+    def test_markdown(self):
+        assert self._report().to_markdown() == (
+            "<!-- schema_version=1; k=3, mode=heuristic, seed=0 -->\n"
+            "| name  | build_ms | total_predict_ms | mean_query_ms | recall_at_k | accuracy "
+            "| mean_layers_visited | mean_cells_visited | mean_points_scanned |\n"
+            "| ----- | -------- | ---------------- | ------------- | ----------- | -------- "
+            "| ------------------- | ------------------ | ------------------- |\n"
+            "| ghn   | 1.5      | 20.25            | 0.125         | 0.987654    | 0.95     "
+            "| 1.25                | 9.5                | 123.457             |\n"
+            "| brute | 0        | 40               | 0.25          | 1           | 0.96     "
+            "|                     |                    |                     |\n"
+        )
+
+    def test_to_dict_drops_unset_fields_in_field_order(self):
+        brute = self._report().algorithms[1].to_dict()
+        assert list(brute) == ["name", "build_ms", "total_predict_ms", "mean_query_ms", "recall_at_k", "accuracy"]

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,3 +278,19 @@ class TestIndexFileChecks:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="cell ids"):
             load_index(path)
+
+
+class TestCellIdBounds:
+    def test_build_rejects_cell_ids_past_int64(self, rng):
+        # A constant feature gets width 1, so its cell id is the value itself.
+        X = np.column_stack([rng.normal(size=50), np.full(50, 1e20)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="2\\*\\*62"):
+                build(points_from_arrays(X, [0] * 50))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_query_error_names_the_query(self):
+        index = build(_pts([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="query .*2\\*\\*62"):
+            knn_query(index, [1e30], 1)

@@ -1,0 +1,159 @@
+from collections.abc import Sequence
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gridneighbors import (
+    DatasetSpec,
+    LabeledPoint,
+    apply_scaler,
+    brute_build,
+    brute_knn,
+    build,
+    fit_cell_measurements,
+    fit_scaler,
+    kdtree_build,
+    kdtree_knn,
+    knn_query,
+    load_csv,
+    points_from_arrays,
+    split,
+)
+from gridneighbors.core import PointSet, as_points
+
+DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "clusters.csv")
+
+
+def _data(rng, n=120, d=3):
+    X = rng.normal(0, 5, (n, d))
+    return points_from_arrays(X, rng.integers(0, 3, n).tolist()), X
+
+
+class TestPointSet:
+    def test_is_a_sequence_of_labeled_points(self, rng):
+        pts, X = _data(rng, 10, 2)
+        assert isinstance(pts, Sequence) and len(pts) == 10
+        last = pts[-1]
+        assert isinstance(last, LabeledPoint)
+        assert (last.index, last.label) == (9, pts.labels[9])
+        assert np.array_equal(last.coords, X[9])
+        assert [p.index for p in pts] == list(range(10))
+        with pytest.raises(IndexError):
+            pts[10]
+
+    def test_labels_keep_values_and_types(self):
+        labels = ["a", 2, 3.5, np.int64(4)]
+        pts = points_from_arrays(np.zeros((4, 1)), labels)
+        assert pts.labels == labels
+        assert [type(v) for v in pts.labels] == [type(v) for v in labels]
+
+    def test_nan_names_the_first_bad_row(self, rng):
+        X = rng.normal(size=(20, 3))
+        X[7, 1] = np.nan
+        X[12, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^point 7: non-finite coordinate$"):
+            points_from_arrays(X, [0] * 20)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="matrix"):
+            points_from_arrays(np.zeros(3), [0, 0, 0])
+        with pytest.raises(ValueError, match="labels length"):
+            points_from_arrays(np.zeros((3, 2)), [0, 0])
+
+    def test_index_does_not_alias_the_callers_array(self, rng):
+        X = rng.normal(0, 5, (200, 2))
+        y = rng.integers(0, 3, 200)
+        index = build(points_from_arrays(X, y))
+        coords = index.coords.copy()
+        q = X[0] + 0.1
+        before = knn_query(index, q, 5)
+        X[:] = 0.0
+        assert np.array_equal(index.coords, coords)
+        assert knn_query(index, q, 5) == before
+
+    def test_index_cannot_be_changed_through_the_set(self, rng):
+        pts, X = _data(rng, 50, 2)
+        index = build(pts)
+        for row in (pts.coords, pts[3].coords, index.coords):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1e6
+        assert np.array_equal(index.coords, X)
+
+
+class TestAsPoints:
+    def test_point_set_is_returned_unchanged(self, rng):
+        pts, _ = _data(rng)
+        assert as_points(pts) is pts
+
+    def test_list_is_stacked_once(self, rng):
+        pts, X = _data(rng)
+        got = as_points(list(pts))
+        assert isinstance(got, PointSet)
+        assert np.array_equal(got.coords, X) and got.labels == pts.labels
+
+    def test_empty_and_mixed_dimensions(self):
+        for empty in ([], points_from_arrays(np.zeros((0, 2)), [])):
+            with pytest.raises(ValueError, match="empty dataset"):
+                as_points(empty)
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            as_points([LabeledPoint([0.0], 0, 0), LabeledPoint([0.0, 1.0], 0, 1)])
+
+
+class TestSameResultsForListInput:
+    """Every set-up function gives the same result for a PointSet and its list."""
+
+    @pytest.mark.parametrize("mode", ["heuristic", "guaranteed"])
+    def test_build(self, rng, mode):
+        pts, X = _data(rng)
+        a, b = build(pts), build(list(pts))
+        for name in ("coords", "cell_array", "order", "offsets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.labels == b.labels
+        assert np.array_equal(a.params.widths, b.params.widths)
+        for q in X[:20] + 0.3:
+            assert knn_query(a, q, 4, mode) == knn_query(b, q, 4, mode)
+
+    def test_brute_and_kdtree(self, rng):
+        pts, X = _data(rng)
+        for make, query in ((brute_build, brute_knn), (kdtree_build, kdtree_knn)):
+            a, b = make(pts), make(list(pts))
+            assert np.array_equal(a.coords, b.coords) and a.labels == b.labels
+            for q in X[:20] - 0.2:
+                assert query(a, q, 3) == query(b, q, 3)
+
+    def test_split(self, rng):
+        pts, _ = _data(rng)
+        for a, b in zip(split(pts, 0.7, seed=3), split(list(pts), 0.7, seed=3)):
+            assert isinstance(a, PointSet) and isinstance(b, PointSet)
+            assert np.array_equal(a.coords, b.coords) and a.labels == b.labels
+
+    @pytest.mark.parametrize("kind", ["standard", "minmax", "none"])
+    def test_fit_scaler(self, rng, kind):
+        pts, _ = _data(rng)
+        a, b = fit_scaler(pts, kind), fit_scaler(list(pts), kind)
+        assert np.array_equal(a.shift, b.shift) and np.array_equal(a.scale, b.scale)
+        scaled = apply_scaler(a, pts)
+        assert np.array_equal(scaled.coords, apply_scaler(b, list(pts)).coords)
+
+
+def test_set_up_chain_builds_no_labeled_point(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a LabeledPoint was built")
+
+    monkeypatch.setattr(LabeledPoint, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        LabeledPoint(np.zeros(2), 0, 0)  # the patch is in force
+
+    data = load_csv(DatasetSpec(DATA_CSV, "label", "classification"))
+    train, test = split(data, 0.8, seed=0)
+    scaler = fit_scaler(train, "standard")
+    train_s, test_s = apply_scaler(scaler, train), apply_scaler(scaler, test)
+    params = fit_cell_measurements(train_s)
+    index = build(train_s, params=params)
+    brute = brute_build(train_s)
+    tree = kdtree_build(train_s)
+    q = test_s.coords[0]
+    expected = brute_knn(brute, q, 3)
+    assert knn_query(index, q, 3, "guaranteed")[0] == expected
+    assert kdtree_knn(tree, q, 3) == expected
