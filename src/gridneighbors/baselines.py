@@ -57,21 +57,14 @@ def brute_knn(index: BruteIndex, q, k: int) -> list[Neighbor]:
     ]
 
 
-class _Leaf:
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: np.ndarray):
-        self.indices = indices
-
-
+@dataclass(slots=True)
 class _Split:
-    __slots__ = ("dim", "threshold", "left", "right")
+    """Inner kd-tree node; a leaf is the array of its point indices."""
 
-    def __init__(self, dim: int, threshold: float, left, right):
-        self.dim = dim
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    dim: int
+    threshold: float
+    left: object
+    right: object
 
 
 class KdTree:
@@ -93,12 +86,12 @@ class KdTree:
 
     def _build(self, idx: np.ndarray):
         if idx.size <= self.leaf_size:
-            return _Leaf(idx)
+            return idx
         sub = self.coords[idx]
         spread = sub.max(axis=0) - sub.min(axis=0)
         dim = int(np.argmax(spread))
         if spread[dim] == 0:  # all points identical
-            return _Leaf(idx)
+            return idx
         threshold = float(np.median(sub[:, dim]))
         mask = sub[:, dim] <= threshold
         if mask.all() or not mask.any():
@@ -123,9 +116,9 @@ def kdtree_knn(tree: KdTree, q, k: int) -> list[Neighbor]:
     buf = NeighborBuffer(k)  # holds ordering keys, not final distances
 
     def visit(node) -> None:
-        if isinstance(node, _Leaf):
-            keys = ordering_keys(q, tree.coords[node.indices], tree.metric)
-            for key, i in zip(keys, node.indices):
+        if isinstance(node, np.ndarray):
+            keys = ordering_keys(q, tree.coords[node], tree.metric)
+            for key, i in zip(keys, node):
                 buf.push(Neighbor(float(key), int(i)))
             return
         gap = float(q[node.dim] - node.threshold)
@@ -137,11 +130,6 @@ def kdtree_knn(tree: KdTree, q, k: int) -> list[Neighbor]:
             visit(far)
 
     visit(tree.root)
-    return [
-        Neighbor(
-            float(keys_to_distances(np.asarray(nb.distance), tree.metric)),
-            nb.point_index,
-            tree.labels[nb.point_index],
-        )
-        for nb in buf.neighbors()
-    ]
+    found = buf.neighbors()
+    dists = keys_to_distances(np.array([nb.distance for nb in found]), tree.metric).tolist()
+    return [Neighbor(d, nb.point_index, tree.labels[nb.point_index]) for d, nb in zip(dists, found)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -115,16 +114,23 @@ def ordering_keys(q: np.ndarray, pts: np.ndarray, metric: str) -> np.ndarray:
 
     Euclidean keys are squared distances: ordering is unchanged and the
     square roots are deferred until results are reported.
+
+    A row's key depends only on that row and q, not on the layout of pts or
+    on the other rows: each row is summed left to right. numpy adds pairwise
+    only along the fast axis in memory, so the differences are column-major
+    and a lone row, which is the fast axis, is summed by accumulate.
     """
-    diff = pts - q
-    if metric == "euclidean":
-        return np.einsum("ij,ij->i", diff, diff)
-    if metric == "manhattan":
-        return np.abs(diff).sum(axis=1)
-    if metric == "chebyshev":
-        return np.abs(diff).max(axis=1)
     _check_metric(metric)
-    raise AssertionError  # unreachable
+    diff = np.subtract(pts, q, order="F")
+    if metric == "euclidean":
+        diff *= diff
+    else:
+        np.abs(diff, out=diff)
+    if metric == "chebyshev":
+        return diff.max(axis=1)
+    if diff.shape[0] == 1:
+        return np.add.accumulate(diff[0])[-1:]
+    return diff.sum(axis=1)
 
 
 def keys_to_distances(keys: np.ndarray, metric: str) -> np.ndarray:
@@ -188,13 +194,6 @@ class NeighborBuffer:
             heapq.heapreplace(self._heap, item)
             return True
         return False
-
-    def push_all(self, cands: Iterable[Neighbor]) -> bool:
-        """Push a batch; True iff any push was accepted."""
-        changed = False
-        for cand in cands:
-            changed |= self.push(cand)
-        return changed
 
     def neighbors(self) -> list[Neighbor]:
         """Retained entries sorted ascending by (distance, point_index)."""

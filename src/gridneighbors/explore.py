@@ -4,10 +4,11 @@ Starting from the query's central cell, cells are visited layer by layer
 (layer l = all cells at Chebyshev distance l in cell-id space). Only
 occupied layers are scanned: each round of the walk binary-searches the
 sorted cell ids for a slab around the query, computes the layer of the
-cells in it and visits them in increasing layer order, gathering their
-points from the index's CSR arrays. Candidates feed a top-k selection
-(a partition threshold, then a lexsort of the survivors by distance and
-index); exploration stops either when a full layer produces no update
+cells in it and visits them in increasing layer order. A layer's points
+are read from the index's cell-ordered coordinates (built on the first
+query): a slice for one cell, else one gather. Candidates feed a top-k
+selection (a partition threshold, then a lexsort by distance and index);
+exploration stops either when a full layer produces no update
 (heuristic, may rarely miss; an empty layer produces none) or when a
 geometric lower bound proves no unvisited cell can improve the result
 (guaranteed).
@@ -15,6 +16,7 @@ geometric lower bound proves no unvisited cell can improve the result
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,6 +110,7 @@ def knn_query(
     except ValueError as exc:
         raise ValueError(f"query {q}: {exc}") from None
     min_width = float(widths.min())
+    cell_coords = index.cell_coords
 
     best_keys = np.empty(0)
     best_idx = np.empty(0, dtype=np.int64)
@@ -125,11 +128,12 @@ def knn_query(
             if stop is not None:
                 last = stop
                 break
-        cand = _gather(index, cells)
-        keys = ordering_keys(q, index.coords.take(cand, axis=0), metric)
+        pos = _positions(index.offsets, cells)
+        block = cell_coords[:, pos] if isinstance(pos, slice) else cell_coords.take(pos, axis=1)
+        keys = ordering_keys(q, block.T, metric)
         cells_visited += int(cells.size)
-        points_scanned += int(cand.size)
-        changed, best_keys, best_idx = _merge(best_keys, best_idx, keys, cand, k)
+        points_scanned += keys.size
+        changed, best_keys, best_idx = _merge(best_keys, best_idx, keys, index.order, pos, k)
         last = l
         if best_idx.size == k:
             if mode == "heuristic" and not changed:
@@ -137,11 +141,8 @@ def knn_query(
             if mode == "guaranteed" and _bound_key(l, min_width, metric) > best_keys[-1]:
                 break
 
-    dists = keys_to_distances(best_keys, metric)
-    neighbors = [
-        Neighbor(float(d), int(i), index.labels[int(i)])
-        for d, i in zip(dists, best_idx)
-    ]
+    dists = keys_to_distances(best_keys, metric).tolist()
+    neighbors = [Neighbor(d, i, index.labels[i]) for d, i in zip(dists, best_idx.tolist())]
     return neighbors, QueryStats(last, cells_visited, points_scanned)
 
 
@@ -181,24 +182,30 @@ def _occupied_layers(index: GridIndex, center: np.ndarray, k: int):
             yield int(layer[s]), rows[s:e]
 
 
-def _gather(index: GridIndex, cells: np.ndarray) -> np.ndarray:
-    """Point indices of the given cells, cell after cell, from the CSR arrays."""
-    starts = index.offsets[cells]
-    ends = index.offsets[cells + 1]
+def _positions(offsets: np.ndarray, cells: np.ndarray):
+    """CSR positions of the cells' points, cell after cell: a slice for one cell."""
     if cells.size == 1:
-        return index.order[starts[0] : ends[0]]
-    counts = ends - starts
+        return slice(*offsets[cells[0] : cells[0] + 2].tolist())
+    starts = offsets[cells]
+    counts = offsets[cells + 1] - starts
     shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return index.order[shift + np.arange(shift.size)]
+    return shift + np.arange(shift.size)
 
 
-def _merge(best_keys, best_idx, keys, cand, k: int):
-    """Top k of the buffer and the candidates by (key, index); (changed, keys, idx)."""
+def _merge(best_keys, best_idx, keys, order, pos, k: int):
+    """Top k of the buffer and the candidates by (key, index); (changed, keys, idx).
+
+    The candidates sit at CSR positions pos (a slice or an array); only
+    those that can enter a full buffer are mapped through order.
+    """
     if best_idx.size == k:
         keep = keys <= best_keys[-1]  # a worse key cannot displace the kth entry
         if not keep.any():
             return False, best_keys, best_idx
-        keys, cand = keys[keep], cand[keep]
+        keys = keys[keep]
+        cand = order[pos][keep] if isinstance(pos, slice) else order[pos[keep]]
+    else:
+        cand = order[pos]
     all_keys = np.concatenate([best_keys, keys])
     all_idx = np.concatenate([best_idx, cand])
     if all_keys.size > k:
@@ -223,12 +230,6 @@ def _first_bound_past(lo: int, hi: int, min_width: float, metric: str, kth) -> i
 
     The bound key does not decrease with l, so a binary search finds it.
     """
-    if not _bound_key(hi, min_width, metric) > kth:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _bound_key(mid, min_width, metric) > kth:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    layers = range(lo, hi + 1)
+    i = bisect.bisect_right(layers, kth, key=lambda l: _bound_key(l, min_width, metric))
+    return layers[i] if i < len(layers) else None

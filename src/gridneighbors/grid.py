@@ -6,7 +6,8 @@ hashed to integer cell ids by floor division of raw coordinates by the
 fitted widths. The index stores the non-empty cells in CSR layout: sorted
 cell ids, the point indices sorted by cell, and one start offset per cell
 (the cell-sorted array with cell start offsets of S. Green, "Particle
-Simulation using CUDA", NVIDIA 2010). The binary file holds the same
+Simulation using CUDA", NVIDIA 2010), which the query also reads the
+coordinates in, built on the first query. The binary file holds the CSR
 arrays, so loading reads them back without rebuilding anything.
 """
 
@@ -141,6 +142,8 @@ class GridIndex:
     indices sorted by cell, input order kept inside each cell; and the
     points of cell i are order[offsets[i]:offsets[i + 1]]. The query walks
     these arrays directly and save_index writes them as they are.
+    The query reads cell i's coordinates as the contiguous columns
+    offsets[i]:offsets[i + 1] of cell_coords, which its first call builds.
     """
 
     params: GridParams
@@ -164,6 +167,13 @@ class GridIndex:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
+
+    @cached_property
+    def cell_coords(self) -> np.ndarray:
+        """Read-only (d, n) coords in cell order: column j is coords[order[j]]."""
+        block = self.coords.T.take(self.order, axis=1)
+        block.flags.writeable = False
+        return block
 
     @cached_property
     def table(self) -> dict[CellId, np.ndarray]:

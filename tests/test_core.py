@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridneighbors import LabeledPoint, Neighbor, NeighborBuffer, distance
+from gridneighbors import METRICS, LabeledPoint, Neighbor, NeighborBuffer, distance
+from gridneighbors.core import ordering_keys
 
 
 class TestDistance:
@@ -39,6 +40,45 @@ class TestDistance:
         b = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(a), max_size=len(a)))
         assert distance(a, b, metric) == distance(b, a, metric)
         assert distance(a, a, metric) == 0.0
+
+
+
+def _left_to_right(q, rows, metric):
+    """Ordering keys of the rows, each accumulated left to right in Python floats."""
+    keys = []
+    for row in rows.tolist():
+        key = 0.0
+        for a, b in zip(row, q.tolist()):
+            t = abs(a - b)
+            if metric == "chebyshev":
+                key = max(key, t)
+            else:
+                key += t * t if metric == "euclidean" else t
+        keys.append(key)
+    return np.array(keys)
+
+
+class TestOrderingKeys:
+    # numpy sums along a contiguous row pairwise from 8 columns on, so
+    # d = 8 and 9 are where a row sum of a C-order matrix would differ.
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_keys_do_not_depend_on_layout(self, rng, metric, d):
+        for m in (1, 2, 7, 40):
+            pts = rng.normal(0, 1, (m, d)) * rng.uniform(0.1, 1e3, d)
+            q = rng.normal(0, 10, d)
+            want = _left_to_right(q, pts, metric)
+            rows = rng.permutation(m)[: max(1, m // 3)]
+            layouts = {
+                "C order": (pts, want),
+                "F order": (np.asfortranarray(pts), want),
+                "transposed view": (np.ascontiguousarray(pts.T).T, want),
+                "row subset": (pts[rows], want[rows]),
+                "column take": (np.ascontiguousarray(pts.T).take(rows, axis=1).T, want[rows]),
+                "one row": (pts[-1:], want[-1:]),
+            }
+            for name, (block, expected) in layouts.items():
+                assert np.array_equal(ordering_keys(q, block, metric), expected), (name, m)
 
 
 class TestLabeledPoint:

@@ -200,6 +200,32 @@ class TestSerialization:
         assert "table" in vars(index)
 
 
+class TestCellCoords:
+    def _check_built_by_first_query(self, index):
+        assert "cell_coords" not in vars(index)
+        knn_query(index, index.coords[0], 3)
+        block = vars(index)["cell_coords"]
+        knn_query(index, index.coords[1] + 0.5, 3, "guaranteed")
+        assert index.cell_coords is block
+        assert not block.flags.writeable
+        assert block.dtype == index.coords.dtype
+        assert np.array_equal(block, index.coords[index.order].T)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+    def test_built_by_first_query_and_reused(self, rng):
+        X = rng.normal(0, 2, (200, 3))
+        self._check_built_by_first_query(build(points_from_arrays(X, [0] * 200)))
+
+    def test_loaded_index_builds_it_the_same_way(self, rng, tmp_path):
+        X = rng.normal(0, 2, (200, 3))
+        built = build(points_from_arrays(X, [0] * 200))
+        save_index(built, tmp_path / "idx.ghn")
+        loaded = load_index(tmp_path / "idx.ghn")
+        self._check_built_by_first_query(loaded)
+        assert np.array_equal(loaded.cell_coords, built.cell_coords)
+
+
 def _golden_data():
     rng = np.random.default_rng(2020)
     X = np.round(rng.normal(0, 2, (40, 2)), 3)
