@@ -1,8 +1,9 @@
 """Exact baselines: brute-force linear scan and a kd-tree.
 
 Both return exactly the k nearest points under (distance, point_index)
-ordering; the brute-force scan doubles as the correctness oracle for
-every other strategy.
+ordering. The kd-tree selects them in core.NeighborBuffer, as the grid
+query does; the brute-force scan sorts all n keys and doubles as the
+correctness oracle for every other strategy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .core import (
     NeighborBuffer,
     _check_metric,
     as_points,
+    check_query,
+    distances_to_keys,
     keys_to_distances,
     ordering_keys,
 )
@@ -42,19 +45,13 @@ def brute_build(data: Sequence[LabeledPoint], metric: str = "euclidean") -> Brut
 
 def brute_knn(index: BruteIndex, q, k: int) -> list[Neighbor]:
     """Exact k nearest by full scan, sorted by (distance, point_index)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (index.coords.shape[1],):
-        raise ValueError("dimension mismatch")
-    n = index.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
+    q = check_query(q, index.coords.shape[1], k, index.size)
+    # A full sort, not the top-k buffer the other searches share: the
+    # oracle stays independent of the code it checks.
     keys = ordering_keys(q, index.coords, index.metric)
-    order = np.lexsort((np.arange(n), keys))[:k]
-    dists = keys_to_distances(keys[order], index.metric)
-    return [
-        Neighbor(float(d), int(i), index.labels[int(i)])
-        for d, i in zip(dists, order)
-    ]
+    order = np.lexsort((np.arange(index.size), keys))[:k]
+    dists = keys_to_distances(keys[order], index.metric).tolist()
+    return [Neighbor(d, i, index.labels[i]) for d, i in zip(dists, order.tolist())]
 
 
 @dataclass(slots=True)
@@ -108,28 +105,19 @@ def kdtree_build(data: Sequence[LabeledPoint], metric: str = "euclidean", leaf_s
 
 def kdtree_knn(tree: KdTree, q, k: int) -> list[Neighbor]:
     """Exact k nearest via bounding-distance pruning; equals brute_knn."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (tree.coords.shape[1],):
-        raise ValueError("dimension mismatch")
-    if not 1 <= k <= tree.size:
-        raise ValueError(f"k={k} out of range [1, {tree.size}]")
-    buf = NeighborBuffer(k)  # holds ordering keys, not final distances
+    q = check_query(q, tree.coords.shape[1], k, tree.size)
+    buf = NeighborBuffer(k)
 
     def visit(node) -> None:
         if isinstance(node, np.ndarray):
-            keys = ordering_keys(q, tree.coords[node], tree.metric)
-            for key, i in zip(keys, node):
-                buf.push(Neighbor(float(key), int(i)))
+            buf.offer(ordering_keys(q, tree.coords[node], tree.metric), node)
             return
         gap = float(q[node.dim] - node.threshold)
         near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)
         visit(near)
-        bound = gap * gap if tree.metric == "euclidean" else abs(gap)
         # <= keeps exactness for ties resolved by point index.
-        if not buf.full or bound <= buf.worst_key()[0]:
+        if not buf.full or distances_to_keys(abs(gap), tree.metric) <= buf.keys[-1]:
             visit(far)
 
     visit(tree.root)
-    found = buf.neighbors()
-    dists = keys_to_distances(np.array([nb.distance for nb in found]), tree.metric).tolist()
-    return [Neighbor(d, nb.point_index, tree.labels[nb.point_index]) for d, nb in zip(dists, found)]
+    return buf.labelled(tree.metric, tree.labels)

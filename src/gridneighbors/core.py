@@ -2,12 +2,12 @@
 
 Labeled training points and the PointSet (a coords matrix plus labels)
 that carries them between stages, neighbor records, distance metrics,
-and the bounded top-k buffer that drives the exploration stopping rule.
+the query check, and the bounded top-k buffer in which the grid walk and
+the kd-tree select their neighbors.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -138,6 +138,26 @@ def keys_to_distances(keys: np.ndarray, metric: str) -> np.ndarray:
     return np.sqrt(keys) if metric == "euclidean" else keys
 
 
+def distances_to_keys(dists, metric: str):
+    """Convert distances (or distance bounds) to ordering keys."""
+    return dists * dists if metric == "euclidean" else dists
+
+
+def check_query(q, dim: int, k: int, n: int) -> np.ndarray:
+    """q as a float vector, checked against an index of n points in dim dimensions.
+
+    Raises ValueError unless q has dim finite coordinates and 1 <= k <= n.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (dim,):
+        raise ValueError(f"dimension mismatch: query {q.shape}, index {dim}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"query has a non-finite coordinate: {q}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range [1, {n}]")
+    return q
+
+
 def distance(a, b, metric: str = "euclidean") -> float:
     """Metric distance between two coordinate vectors.
 
@@ -155,47 +175,67 @@ def distance(a, b, metric: str = "euclidean") -> float:
 class NeighborBuffer:
     """Bounded buffer keeping the k smallest candidates seen so far.
 
-    Ordering is lexicographic on (distance, point_index), so ties are
-    broken toward the lower training index. Internally a max-heap: the
-    root is the current worst retained candidate.
+    keys and idx hold the retained candidates sorted lexicographically by
+    (key, index), so ties are broken toward the lower index and keys[-1]
+    is the kth key once the buffer is full. The grid walk and the kd-tree
+    select their top k here; brute force sorts all keys instead and so
+    stays an independent oracle for both.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._heap: list[tuple[float, int, object]] = []  # (-distance, -index, label)
+        self.keys = np.empty(0)
+        self.idx = np.empty(0, dtype=np.int64)
+        self.full = False  # a plain attribute: the grid walk reads it twice per layer
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self.idx.size
 
-    @property
-    def full(self) -> bool:
-        return len(self._heap) == self.capacity
+    def offer(self, keys: np.ndarray, idx, lookup: np.ndarray | None = None) -> bool:
+        """Offer candidates; returns True iff the buffer contents changed.
 
-    def worst_key(self) -> tuple[float, int]:
-        """(distance, point_index) of the current worst retained entry."""
-        if not self._heap:
-            raise IndexError("empty buffer")
-        nd, ni, _ = self._heap[0]
-        return (-nd, -ni)
+        The candidates' indices are idx, or lookup[idx] when lookup is
+        given; idx may then be a slice. Only the candidates that can enter
+        a full buffer are mapped through lookup. The True/False outcome is
+        the "update" signal of the heuristic stopping rule.
+        """
+        if self.full:
+            keep = keys <= self.keys[-1]  # a worse key cannot displace the kth entry
+            if not keep.any():
+                return False
+            keys = keys[keep]
+            if isinstance(idx, slice):
+                idx, lookup = lookup[idx][keep], None  # lookup[idx] is a view
+            else:
+                idx = idx[keep]
+        if lookup is not None:
+            idx = lookup[idx]
+        all_keys = np.concatenate([self.keys, keys])
+        all_idx = np.concatenate([self.idx, idx])
+        k = self.capacity
+        if all_keys.size > k:
+            # Every tie of the kth key survives, so the lexsort still breaks
+            # ties toward the lower index.
+            keep = all_keys <= np.partition(all_keys, k - 1)[k - 1]
+            all_keys, all_idx = all_keys[keep], all_idx[keep]
+        top = np.lexsort((all_idx, all_keys))[:k]
+        new_idx = all_idx[top]
+        changed = new_idx.size != self.idx.size or not np.array_equal(new_idx, self.idx)
+        self.keys, self.idx = all_keys[top], new_idx
+        self.full = new_idx.size == k
+        return changed
 
     def push(self, cand: Neighbor) -> bool:
-        """Offer a candidate; returns True iff the buffer contents changed.
-
-        The True/False outcome is the "update" signal consumed by the
-        exploration stopping rule.
-        """
-        item = (-cand.distance, -cand.point_index, cand.label)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-            return True
-        if cand.key < self.worst_key():
-            heapq.heapreplace(self._heap, item)
-            return True
-        return False
+        """Offer one candidate, its distance as the key; True iff the contents changed."""
+        return self.offer(np.array([cand.distance]), np.array([cand.point_index]))
 
     def neighbors(self) -> list[Neighbor]:
-        """Retained entries sorted ascending by (distance, point_index)."""
-        items = sorted(((-nd, -ni, lab) for nd, ni, lab in self._heap))
-        return [Neighbor(d, i, lab) for d, i, lab in items]
+        """Retained entries, (key, index) ascending, as unlabelled Neighbors."""
+        return [Neighbor(d, i) for d, i in zip(self.keys.tolist(), self.idx.tolist())]
+
+    def labelled(self, metric: str, labels) -> list[Neighbor]:
+        """Retained entries with their keys as metric distances and labels[index]."""
+        dists = keys_to_distances(self.keys, metric).tolist()
+        return [Neighbor(d, i, labels[i]) for d, i in zip(dists, self.idx.tolist())]

@@ -6,12 +6,12 @@ occupied layers are scanned: each round of the walk binary-searches the
 sorted cell ids for a slab around the query, computes the layer of the
 cells in it and visits them in increasing layer order. A layer's points
 are read from the index's cell-ordered coordinates (built on the first
-query): a slice for one cell, else one gather. Candidates feed a top-k
-selection (a partition threshold, then a lexsort by distance and index);
-exploration stops either when a full layer produces no update
-(heuristic, may rarely miss; an empty layer produces none) or when a
-geometric lower bound proves no unvisited cell can improve the result
-(guaranteed).
+query): a slice for one cell, else one gather. Each layer's candidates
+are offered to core.NeighborBuffer, the top-k buffer the kd-tree also
+fills. Exploration stops either when a full layer produces no
+update (heuristic, may rarely miss; an empty layer produces none) or
+when a geometric lower bound proves no unvisited cell can improve the
+result (guaranteed).
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Neighbor, keys_to_distances, ordering_keys
+from .core import (
+    Neighbor,
+    NeighborBuffer,
+    check_query,
+    distances_to_keys,
+    ordering_keys,
+)
 from .grid import CellId, GridIndex, _cell_ids
 
 STOP_MODES = ("heuristic", "guaranteed")
@@ -95,14 +101,7 @@ def knn_query(
     """
     if mode not in STOP_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {STOP_MODES}")
-    q = np.asarray(q, dtype=float)
-    if q.shape != (index.dim,):
-        raise ValueError(f"dimension mismatch: query {q.shape}, index {index.dim}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError(f"query has a non-finite coordinate: {q}")
-    n = index.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
+    q = check_query(q, index.dim, k, index.size)
     metric = index.metric
     widths = index.params.widths
     try:
@@ -112,19 +111,18 @@ def knn_query(
     min_width = float(widths.min())
     cell_coords = index.cell_coords
 
-    best_keys = np.empty(0)
-    best_idx = np.empty(0, dtype=np.int64)
+    buf = NeighborBuffer(k)
     cells_visited = 0
     points_scanned = 0
     last = -1  # last visited layer
     for l, cells in _occupied_layers(index, center, k):
-        if best_idx.size == k and l > last + 1:
+        if buf.full and l > last + 1:
             # Layers last+1 .. l-1 are empty: each counts as a layer with
             # no update whose bound may already exceed the kth distance.
             if mode == "heuristic":
                 last += 1
                 break
-            stop = _first_bound_past(last + 1, l - 1, min_width, metric, best_keys[-1])
+            stop = _first_bound_past(last + 1, l - 1, min_width, metric, buf.keys[-1])
             if stop is not None:
                 last = stop
                 break
@@ -133,17 +131,15 @@ def knn_query(
         keys = ordering_keys(q, block.T, metric)
         cells_visited += int(cells.size)
         points_scanned += keys.size
-        changed, best_keys, best_idx = _merge(best_keys, best_idx, keys, index.order, pos, k)
+        changed = buf.offer(keys, pos, index.order)
         last = l
-        if best_idx.size == k:
+        if buf.full:
             if mode == "heuristic" and not changed:
                 break
-            if mode == "guaranteed" and _bound_key(l, min_width, metric) > best_keys[-1]:
+            if mode == "guaranteed" and distances_to_keys(l * min_width, metric) > buf.keys[-1]:
                 break
 
-    dists = keys_to_distances(best_keys, metric).tolist()
-    neighbors = [Neighbor(d, i, index.labels[i]) for d, i in zip(dists, best_idx.tolist())]
-    return neighbors, QueryStats(last, cells_visited, points_scanned)
+    return buf.labelled(metric, index.labels), QueryStats(last, cells_visited, points_scanned)
 
 
 def _occupied_layers(index: GridIndex, center: np.ndarray, k: int):
@@ -192,44 +188,12 @@ def _positions(offsets: np.ndarray, cells: np.ndarray):
     return shift + np.arange(shift.size)
 
 
-def _merge(best_keys, best_idx, keys, order, pos, k: int):
-    """Top k of the buffer and the candidates by (key, index); (changed, keys, idx).
-
-    The candidates sit at CSR positions pos (a slice or an array); only
-    those that can enter a full buffer are mapped through order.
-    """
-    if best_idx.size == k:
-        keep = keys <= best_keys[-1]  # a worse key cannot displace the kth entry
-        if not keep.any():
-            return False, best_keys, best_idx
-        keys = keys[keep]
-        cand = order[pos][keep] if isinstance(pos, slice) else order[pos[keep]]
-    else:
-        cand = order[pos]
-    all_keys = np.concatenate([best_keys, keys])
-    all_idx = np.concatenate([best_idx, cand])
-    if all_keys.size > k:
-        # Every tie of the kth key survives, so the lexsort still breaks
-        # ties toward the lower index.
-        keep = all_keys <= np.partition(all_keys, k - 1)[k - 1]
-        all_keys, all_idx = all_keys[keep], all_idx[keep]
-    top = np.lexsort((all_idx, all_keys))[:k]
-    new_keys, new_idx = all_keys[top], all_idx[top]
-    changed = new_idx.size != best_idx.size or not np.array_equal(new_idx, best_idx)
-    return changed, new_keys, new_idx
-
-
-def _bound_key(l: int, min_width: float, metric: str) -> float:
-    """Ordering key of the guaranteed-mode lower bound beyond layer l."""
-    bound = l * min_width
-    return bound * bound if metric == "euclidean" else bound
-
-
 def _first_bound_past(lo: int, hi: int, min_width: float, metric: str, kth) -> int | None:
     """First layer in [lo, hi] whose bound key exceeds kth, or None.
 
-    The bound key does not decrease with l, so a binary search finds it.
+    The bound beyond layer l is l * min_width; its key does not decrease
+    with l, so a binary search finds it.
     """
     layers = range(lo, hi + 1)
-    i = bisect.bisect_right(layers, kth, key=lambda l: _bound_key(l, min_width, metric))
+    i = bisect.bisect_right(layers, kth, key=lambda l: distances_to_keys(l * min_width, metric))
     return layers[i] if i < len(layers) else None

@@ -57,7 +57,7 @@ def _bin_of(values: np.ndarray, lo: float, span: float, s: int) -> np.ndarray:
     return np.minimum(np.floor((values - lo) * s / span), s - 1)
 
 
-def _max_splits_1d(values: np.ndarray, cap: int | None) -> tuple[int, float]:
+def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     """Largest split count s leaving no bin of [lo, hi] empty, and the width.
 
     A bin can only go empty inside a gap between consecutive distinct
@@ -73,8 +73,6 @@ def _max_splits_1d(values: np.ndarray, cap: int | None) -> tuple[int, float]:
     max_gap = float(gaps.max())
     # Occupancy is guaranteed to fail once max_gap * s / span >= 2.
     s_hi = min(distinct.size, int(np.ceil(2.0 * span / max_gap)))
-    if cap is not None:
-        s_hi = min(s_hi, cap)
     gaps_asc = np.sort(gaps)
     by_size = np.argsort(gaps, kind="stable")[::-1]
     left = distinct[:-1][by_size]
@@ -90,9 +88,7 @@ def _max_splits_1d(values: np.ndarray, cap: int | None) -> tuple[int, float]:
     return 1, span
 
 
-def fit_cell_measurements(
-    data: Sequence[LabeledPoint], max_splits: int | None = None
-) -> GridParams:
+def fit_cell_measurements(data: Sequence[LabeledPoint]) -> GridParams:
     """Fit per-dimension cell widths from the training data.
 
     Each dimension independently gets the largest split count that keeps
@@ -104,7 +100,7 @@ def fit_cell_measurements(
     widths = np.empty(d)
     splits = np.empty(d, dtype=np.int64)
     for j in range(d):
-        splits[j], widths[j] = _max_splits_1d(coords[:, j], max_splits)
+        splits[j], widths[j] = _max_splits_1d(coords[:, j])
     return GridParams(widths=widths, origin=coords.min(axis=0), splits=splits)
 
 
@@ -112,12 +108,13 @@ def hash_cell(p, params: GridParams) -> CellId:
     """Cell id of a point: per-dimension floor division by the cell width.
 
     Floor is toward negative infinity, so points left of the origin land
-    in distinct negative cells. Any finite point hashes.
+    in distinct negative cells. Raises ValueError, as build and knn_query
+    do, for a point whose cell id leaves +-2**62 or is not finite.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (params.dim,):
         raise ValueError(f"dimension mismatch: point {p.shape}, grid {params.dim}")
-    return tuple(int(v) for v in np.floor(p / params.widths))
+    return tuple(_cell_ids(p, params.widths).tolist())
 
 
 def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -189,7 +186,6 @@ def build(
     data: Sequence[LabeledPoint],
     metric: str = "euclidean",
     params: GridParams | None = None,
-    max_splits: int | None = None,
 ) -> GridIndex:
     """Build the grid index: fit widths, hash every point into its cell.
 
@@ -199,7 +195,7 @@ def build(
     _check_metric(metric)
     points = as_points(data)
     if params is None:
-        params = fit_cell_measurements(points, max_splits)
+        params = fit_cell_measurements(points)
     elif params.dim != points.coords.shape[1]:
         raise ValueError("params dimension does not match the data")
     n, d = points.coords.shape

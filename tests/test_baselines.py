@@ -75,3 +75,11 @@ class TestKdTree:
     def test_bad_leaf_size(self):
         with pytest.raises(ValueError):
             kdtree_build(points_from_arrays([[0.0]], [0]), leaf_size=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected(bad):
+    pts = points_from_arrays(np.arange(40.0).reshape(20, 2), [0] * 20)
+    for knn, index in ((brute_knn, brute_build(pts)), (kdtree_knn, kdtree_build(pts, leaf_size=2))):
+        with pytest.raises(ValueError, match="non-finite"):
+            knn(index, (3.0, bad), 2)

@@ -150,3 +150,30 @@ class TestNeighborBuffer:
             accepted = buf.push(Neighbor(d, i))
             after = [(n.distance, n.point_index) for n in buf.neighbors()]
             assert accepted == (before != after)
+
+    @settings(max_examples=300)
+    @given(st.data(), st.integers(1, 8))
+    def test_batched_offers_match_sort_and_truncate(self, data, k):
+        # Few distinct keys, so ties with the kth key are common. A stream
+        # position maps to a point index through a permutation, which a
+        # batch passes directly, or as positions (an array or a slice)
+        # with the permutation as the lookup, as the grid query does.
+        keys = data.draw(st.lists(st.integers(0, 12).map(float), min_size=1, max_size=60))
+        m = len(keys)
+        ids = np.array(data.draw(st.permutations(range(m))), dtype=np.int64)
+        cuts = data.draw(st.lists(st.integers(0, m), max_size=8))
+        bounds = sorted({0, m, *cuts})
+        buf = NeighborBuffer(k)
+        for a, b in zip(bounds, bounds[1:]):
+            batch = np.array(keys[a:b])
+            how = data.draw(st.sampled_from(["ids", "positions", "slice"]))
+            before = [(n.distance, n.point_index) for n in buf.neighbors()]
+            if how == "ids":
+                changed = buf.offer(batch, ids[a:b])
+            elif how == "positions":
+                changed = buf.offer(batch, np.arange(a, b), ids)
+            else:
+                changed = buf.offer(batch, slice(a, b), ids)
+            after = [(n.distance, n.point_index) for n in buf.neighbors()]
+            assert changed == (before != after)
+            assert after == _oracle_topk(list(zip(keys[:b], ids[:b].tolist())), k)

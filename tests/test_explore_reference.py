@@ -84,6 +84,14 @@ def test_two_clusters_with_wide_empty_runs(rng, metric):
         index = build(points_from_arrays(X, [0] * 60 + [1] * 60), metric, params=params)
         queries = [X[3] + 0.1, X[70] - 0.1, np.full(d, 50.0), np.full(d, 30.0)]
         _assert_same(index, queries, [1, 5, 60, 61, 120])
+    # The guaranteed bound beyond layer 3 (3 * min width) equals the kth
+    # distance 3 to (0, -3), which is not enough to stop: the walk must go
+    # on across the empty layers to layer 4.
+    X = np.array([[0.0, 0.0], [0.0, -3.0], [10.5, 0.0]])
+    params = GridParams([1.0, 3.0], [0.0, -3.0], [1, 1])
+    index = build(points_from_arrays(X, [0, 1, 2]), metric, params=params)
+    _assert_same(index, [np.zeros(2)], [2])
+    assert knn_query(index, np.zeros(2), 2, "guaranteed")[1].layers_visited == 4
 
 
 @pytest.mark.parametrize("metric", METRICS)

@@ -77,13 +77,13 @@ class TestFitCellMeasurements:
                 v = rng.integers(-4, 5, n).astype(float)
             else:
                 v = np.concatenate([rng.uniform(0, 1, n), rng.uniform(20, 21, 2)])
-            assert _max_splits_1d(v, None) == _oracle_max_splits(v)
+            assert _max_splits_1d(v) == _oracle_max_splits(v)
 
     def test_occupancy_at_s_and_failure_at_s_plus_1(self, rng):
         for _ in range(60):
             v = rng.normal(0, 3, int(rng.integers(3, 40)))
             distinct = np.unique(v)
-            s, w = _max_splits_1d(v, None)
+            s, w = _max_splits_1d(v)
             lo, span = distinct[0], distinct[-1] - distinct[0]
             bins = np.minimum(np.floor((distinct - lo) * s / span), s - 1)
             assert np.unique(bins).size == s
@@ -105,11 +105,6 @@ class TestFitCellMeasurements:
         spans = X.max(axis=0) - X.min(axis=0)
         assert np.all(params.widths * params.splits >= spans - 1e-9)
 
-    def test_max_splits_cap(self, rng):
-        v = rng.uniform(0, 1, 200)
-        s, _ = _max_splits_1d(v, 5)
-        assert s <= 5
-
 
 class TestHashCell:
     def test_floor_of_coordinates(self):
@@ -128,6 +123,12 @@ class TestHashCell:
         params = GridParams([1.0], [0.0], [1])
         with pytest.raises(ValueError):
             hash_cell((1.0, 2.0), params)
+
+    def test_cell_id_past_bound_rejected(self):
+        # The same checked rule as build and knn_query, not a 300-digit int.
+        params = GridParams([1.0], [0.0], [1])
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            hash_cell((1e300,), params)
 
 
 class TestBuild:
