@@ -14,11 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    LabeledPoint,
     Neighbor,
     NeighborBuffer,
+    PointSet,
     _check_metric,
-    as_points,
     check_query,
     distances_to_keys,
     keys_to_distances,
@@ -37,10 +36,9 @@ class BruteIndex:
         return self.coords.shape[0]
 
 
-def brute_build(data: Sequence[LabeledPoint], metric: str = "euclidean") -> BruteIndex:
+def brute_build(data: PointSet, metric: str = "euclidean") -> BruteIndex:
     _check_metric(metric)
-    points = as_points(data)
-    return BruteIndex(points.coords, points.labels, metric)
+    return BruteIndex(data.coords, data.labels, metric)
 
 
 def brute_knn(index: BruteIndex, q, k: int) -> list[Neighbor]:
@@ -67,12 +65,11 @@ class _Split:
 class KdTree:
     """Median-split kd-tree with leaf buckets; queries are exact."""
 
-    def __init__(self, data: Sequence[LabeledPoint], metric: str = "euclidean", leaf_size: int = 16):
+    def __init__(self, data: PointSet, metric: str = "euclidean", leaf_size: int = 16):
         _check_metric(metric)
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
-        points = as_points(data)
-        self.coords, self.labels = points.coords, points.labels
+        self.coords, self.labels = data.coords, data.labels
         self.metric = metric
         self.leaf_size = leaf_size
         self.root = self._build(np.arange(self.coords.shape[0]))
@@ -99,7 +96,7 @@ class KdTree:
         return _Split(dim, threshold, self._build(idx[mask]), self._build(idx[~mask]))
 
 
-def kdtree_build(data: Sequence[LabeledPoint], metric: str = "euclidean", leaf_size: int = 16) -> KdTree:
+def kdtree_build(data: PointSet, metric: str = "euclidean", leaf_size: int = 16) -> KdTree:
     return KdTree(data, metric, leaf_size)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines, datasets, explore, grid, predict
-from .core import METRICS, LabeledPoint
+from .core import METRICS, PointSet
 
 SCHEMA_VERSION = 1
 ALGOS = ("ghn", "brute", "kdtree")
@@ -93,7 +93,7 @@ def _predict(neighbors, task: str):
 
 
 def run_bench(
-    data: "datasets.DatasetSpec | Sequence[LabeledPoint]",
+    data: "datasets.DatasetSpec | PointSet",
     algos: Sequence[str] = ALGOS,
     k: int = 3,
     mode: str = "heuristic",
@@ -238,17 +238,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         has_header=not args.no_header,
     )
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-    report = run_bench(
-        spec,
-        algos=algos,
-        k=args.k,
-        mode=args.mode,
-        scaler_kind=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        split_fraction=args.split,
-        metric=args.metric,
-    )
+    try:
+        report = run_bench(
+            spec,
+            algos=algos,
+            k=args.k,
+            mode=args.mode,
+            scaler_kind=args.scale,
+            seed=args.seed,
+            repeats=args.repeats,
+            split_fraction=args.split,
+            metric=args.metric,
+        )
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))  # one "bench: error: ..." line, exit status 2
     text = {"json": report.to_json, "csv": report.to_csv, "md": report.to_markdown}[args.report]()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

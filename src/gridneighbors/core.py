@@ -1,13 +1,15 @@
 """Core domain types shared by every search strategy.
 
-Labeled training points and the PointSet (a coords matrix plus labels)
-that carries them between stages, neighbor records, distance metrics,
-the query check, and the bounded top-k buffer in which the grid walk and
-the kd-tree select their neighbors.
+The PointSet (a coords matrix plus labels), the one point container that
+every set-up stage takes and returns, and LabeledPoint, its row view;
+neighbor records, distance metrics, the query check, and the bounded
+top-k buffer in which the grid walk and the kd-tree select their
+neighbors.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -19,7 +21,7 @@ METRICS = ("euclidean", "manhattan", "chebyshev")
 
 @dataclass(frozen=True)
 class LabeledPoint:
-    """One training observation: feature vector, output label, ordinal index.
+    """Row i of a PointSet: its read-only coords row, label and index i.
 
     The index is the point's position in the training set and is used for
     deterministic tie-breaking whenever two candidates are equidistant.
@@ -29,21 +31,9 @@ class LabeledPoint:
     label: object
     index: int
 
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1:
-            raise ValueError("coords must be a 1-d vector")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError(f"point {self.index}: non-finite coordinate")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
 
 class PointSet(Sequence):
-    """n labeled points: an (n, d) float matrix and a list of n labels.
+    """n >= 1 labeled points: an (n, d) finite float matrix, d >= 1, and n labels.
 
     Indexing builds LabeledPoint(coords[i], labels[i], i) on demand; the
     set-up functions read .coords and .labels and build no per-row object.
@@ -56,6 +46,10 @@ class PointSet(Sequence):
         self.labels = list(labels)
         if self.coords.ndim != 2:
             raise ValueError("coords must be an (n, d) matrix")
+        if self.coords.shape[0] == 0:
+            raise ValueError("empty dataset")
+        if self.coords.shape[1] == 0:
+            raise ValueError("coords have no feature columns")
         if len(self.labels) != self.coords.shape[0]:
             raise ValueError("labels length must match the number of rows")
         bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=1))
@@ -73,22 +67,6 @@ class PointSet(Sequence):
 def points_from_arrays(coords, labels) -> PointSet:
     """Wrap an (n, d) feature matrix and a length-n label sequence."""
     return PointSet(coords, labels)
-
-
-def as_points(data: Sequence[LabeledPoint]) -> PointSet:
-    """data itself if it is a PointSet, else its points stacked once into one.
-
-    Raises ValueError for an empty dataset or for points of mixed dimensions.
-    """
-    points = data if isinstance(data, PointSet) else list(data)
-    if len(points) == 0:
-        raise ValueError("empty dataset")
-    if isinstance(points, PointSet):
-        return points
-    dims = {p.dim for p in points}
-    if len(dims) != 1:
-        raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
-    return PointSet(np.stack([p.coords for p in points]), [p.label for p in points])
 
 
 @dataclass(frozen=True)
@@ -143,11 +121,20 @@ def distances_to_keys(dists, metric: str):
     return dists * dists if metric == "euclidean" else dists
 
 
+def _check_k(k) -> int:
+    try:
+        return operator.index(k)  # accepts numpy integers, not 2.5 or "3"
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
+
+
 def check_query(q, dim: int, k: int, n: int) -> np.ndarray:
     """q as a float vector, checked against an index of n points in dim dimensions.
 
-    Raises ValueError unless q has dim finite coordinates and 1 <= k <= n.
+    Raises TypeError unless k is an integer, and ValueError unless q has
+    dim finite coordinates and 1 <= k <= n.
     """
+    k = _check_k(k)
     q = np.asarray(q, dtype=float)
     if q.shape != (dim,):
         raise ValueError(f"dimension mismatch: query {q.shape}, index {dim}")
@@ -183,6 +170,7 @@ class NeighborBuffer:
     """
 
     def __init__(self, capacity: int):
+        capacity = _check_k(capacity)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

@@ -1,19 +1,18 @@
 """Dataset plumbing for the benchmark harness: CSV loading, train/test
 splitting, and feature scaling.
 
-Each step returns a PointSet and works on its whole coords matrix; a
-list of LabeledPoint is also accepted and stacked once by as_points.
+Each step takes and returns a PointSet and works on its whole coords
+matrix; no step builds a per-row object.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledPoint, PointSet, as_points
+from .core import PointSet
 
 SCALER_KINDS = ("standard", "minmax", "none")
 
@@ -96,23 +95,20 @@ def load_csv(spec: DatasetSpec) -> PointSet:
     return PointSet(coords, labels)
 
 
-def split(
-    data: Sequence[LabeledPoint], fraction: float, seed: int
-) -> tuple[PointSet, PointSet]:
+def split(data: PointSet, fraction: float, seed: int) -> tuple[PointSet, PointSet]:
     """Deterministic shuffled train/test split; |train| = round(fraction*n).
 
     Points are re-indexed within each side so indices stay ordinal.
     """
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
-    points = as_points(data)
-    n = len(points)
+    n = len(data)
     n_train = round(fraction * n)
     if n_train == 0 or n_train == n:
         raise ValueError(f"degenerate split: {n_train}/{n - n_train} from n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     sides = perm[:n_train], perm[n_train:]
-    return tuple(PointSet(points.coords[s], [points.labels[j] for j in s.tolist()]) for s in sides)
+    return tuple(PointSet(data.coords[s], [data.labels[j] for j in s.tolist()]) for s in sides)
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ class Scaler:
         return coords * self.scale + self.shift
 
 
-def fit_scaler(train: Sequence[LabeledPoint], kind: str) -> Scaler:
+def fit_scaler(train: PointSet, kind: str) -> Scaler:
     """Fit scaling statistics on the training split.
 
     standard: (x - mean) / std, population std; zero-std dimensions pass
@@ -139,7 +135,7 @@ def fit_scaler(train: Sequence[LabeledPoint], kind: str) -> Scaler:
     """
     if kind not in SCALER_KINDS:
         raise ValueError(f"unknown scaler {kind!r}; expected one of {SCALER_KINDS}")
-    coords = as_points(train).coords
+    coords = train.coords
     d = coords.shape[1]
     if kind == "none":
         return Scaler(kind, np.zeros(d), np.ones(d))
@@ -157,6 +153,5 @@ def fit_scaler(train: Sequence[LabeledPoint], kind: str) -> Scaler:
     return Scaler("minmax", shift, scale)
 
 
-def apply_scaler(scaler: Scaler, points: Sequence[LabeledPoint]) -> PointSet:
-    points = as_points(points)
+def apply_scaler(scaler: Scaler, points: PointSet) -> PointSet:
     return PointSet(scaler.transform(points.coords), points.labels)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import METRICS, LabeledPoint, _check_metric, as_points
+from .core import METRICS, PointSet, _check_metric
 
 CellId = tuple[int, ...]
 
@@ -88,14 +88,14 @@ def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     return 1, span
 
 
-def fit_cell_measurements(data: Sequence[LabeledPoint]) -> GridParams:
+def fit_cell_measurements(data: PointSet) -> GridParams:
     """Fit per-dimension cell widths from the training data.
 
     Each dimension independently gets the largest split count that keeps
     every bin of its value range occupied; the cell width is range/splits.
     Constant dimensions fall back to a single split of width 1.
     """
-    coords = as_points(data).coords
+    coords = data.coords
     d = coords.shape[1]
     widths = np.empty(d)
     splits = np.empty(d, dtype=np.int64)
@@ -138,9 +138,11 @@ class GridIndex:
     of the non-empty cells, sorted lexicographically; order holds the point
     indices sorted by cell, input order kept inside each cell; and the
     points of cell i are order[offsets[i]:offsets[i + 1]]. The query walks
-    these arrays directly and save_index writes them as they are.
-    The query reads cell i's coordinates as the contiguous columns
-    offsets[i]:offsets[i + 1] of cell_coords, which its first call builds.
+    these arrays directly, save_index writes them as they are, and
+    cell_points reads a cell's points from them; there is no other view of
+    the cells. The query reads cell i's coordinates as the contiguous
+    columns offsets[i]:offsets[i + 1] of cell_coords, which its first call
+    builds.
     """
 
     params: GridParams
@@ -172,34 +174,20 @@ class GridIndex:
         block.flags.writeable = False
         return block
 
-    @cached_property
-    def table(self) -> dict[CellId, np.ndarray]:
-        """Cell id -> point indices of that cell, built on first use."""
-        bounds = self.offsets.tolist()
-        return {
-            tuple(row): self.order[a:b]
-            for row, a, b in zip(self.cell_array.tolist(), bounds[:-1], bounds[1:])
-        }
 
-
-def build(
-    data: Sequence[LabeledPoint],
-    metric: str = "euclidean",
-    params: GridParams | None = None,
-) -> GridIndex:
+def build(data: PointSet, metric: str = "euclidean", params: GridParams | None = None) -> GridIndex:
     """Build the grid index: fit widths, hash every point into its cell.
 
     Points keep their input order inside each cell. Pass explicit params
     to skip fitting (useful for constructed scenarios).
     """
     _check_metric(metric)
-    points = as_points(data)
     if params is None:
-        params = fit_cell_measurements(points)
-    elif params.dim != points.coords.shape[1]:
+        params = fit_cell_measurements(data)
+    elif params.dim != data.coords.shape[1]:
         raise ValueError("params dimension does not match the data")
-    n, d = points.coords.shape
-    ids = _cell_ids(points.coords, params.widths)
+    n, d = data.coords.shape
+    ids = _cell_ids(data.coords, params.widths)
     # Sort rows lexicographically by cell id, then by original index so
     # each cell keeps input order.
     keys = (np.arange(n),) + tuple(ids[:, j] for j in range(d - 1, -1, -1))
@@ -209,13 +197,20 @@ def build(
     starts = np.flatnonzero(new_cell) + 1
     cell_array = sorted_ids[np.concatenate(([0], starts))]
     offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
-    return GridIndex(params, points.coords, points.labels, metric, cell_array, order, offsets)
+    return GridIndex(params, data.coords, data.labels, metric, cell_array, order, offsets)
 
 
 def cell_points(index: GridIndex, cell) -> list[int]:
-    """Point indices stored in a cell; empty list for absent cells."""
-    bucket = index.table.get(tuple(int(v) for v in cell))
-    return [] if bucket is None else [int(i) for i in bucket]
+    """Point indices stored in a cell, in input order; empty list for absent cells.
+
+    Raises ValueError, as hash_cell does, for a cell of the wrong length.
+    A cell with a non-integer coordinate matches no cell.
+    """
+    cell = np.asarray(cell)  # no cast: ints compare exactly, a fraction matches nothing
+    if cell.shape != (index.dim,):
+        raise ValueError(f"dimension mismatch: cell {cell.shape}, grid {index.dim}")
+    i = np.flatnonzero((index.cell_array == cell).all(axis=1))
+    return index.order[index.offsets[i[0]] : index.offsets[i[0] + 1]].tolist() if i.size else []
 
 
 # ---------------------------------------------------------------------------

@@ -201,14 +201,16 @@ def test_criterion_8_structure_property_suites():
         got = [(nb.distance, nb.point_index) for nb in buf.neighbors()]
         assert got == sorted(zip(dists.tolist(), range(m)))[:k]
 
-    # grid structure: key count <= n and round-trip retrieval
+    # grid structure: at most n cells, CSR arrays cover every point once,
+    # and round-trip retrieval
     for _ in range(1000):
         n = int(rng.integers(1, 80))
         d = int(rng.integers(1, 5))
         X = rng.normal(0, rng.uniform(0.5, 5), (n, d)) + rng.uniform(-10, 10, d)
         index = build(points_from_arrays(X, [0] * n))
-        assert len(index.table) <= n
-        assert sum(len(b) for b in index.table.values()) == n
+        assert len(index.cell_array) <= n
+        assert index.offsets[-1] == n
+        assert np.array_equal(np.sort(index.order), np.arange(n))
         i = int(rng.integers(0, n))
         assert i in cell_points(index, hash_cell(X[i], index.params))
 

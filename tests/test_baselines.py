@@ -3,10 +3,13 @@ import pytest
 
 from conftest import as_pairs, clustered, uniform
 from gridneighbors import (
+    NeighborBuffer,
     brute_build,
     brute_knn,
+    build,
     kdtree_build,
     kdtree_knn,
+    knn_query,
     points_from_arrays,
 )
 
@@ -83,3 +86,22 @@ def test_non_finite_query_rejected(bad):
     for knn, index in ((brute_knn, brute_build(pts)), (kdtree_knn, kdtree_build(pts, leaf_size=2))):
         with pytest.raises(ValueError, match="non-finite"):
             knn(index, (3.0, bad), 2)
+
+
+_SEARCHES = {
+    "knn_query": (build, lambda index, q, k: knn_query(index, q, k)[0]),
+    "brute_knn": (brute_build, brute_knn),
+    "kdtree_knn": (kdtree_build, kdtree_knn),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, "3"])
+@pytest.mark.parametrize("search", _SEARCHES)
+def test_non_integer_k_rejected_before_the_search(search, k):
+    make, knn = _SEARCHES[search]
+    index = make(points_from_arrays(np.arange(40.0).reshape(20, 2), [0] * 20))
+    with pytest.raises(TypeError, match="k must be an integer"):
+        knn(index, (3.0, 4.0), k)
+    assert len(knn(index, (3.0, 4.0), np.int64(3))) == 3  # numpy integers still pass
+    with pytest.raises(TypeError, match="k must be an integer"):
+        NeighborBuffer(k)

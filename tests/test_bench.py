@@ -122,6 +122,23 @@ class TestCli:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--split", "1.5"], "fraction must be in (0, 1)"),
+            (["--k", "0"], "k=0 out of range"),
+            (["--dataset", "no/such/file.csv"], "No such file or directory"),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--dataset", DATA_CSV, "--label-col", "label", "--algos", "brute", *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("bench: error: ") and message in err[-1]
+        assert not any("Traceback" in line for line in err)
+
+
 class TestReportText:
     """Exact CSV and markdown text of a hand-built two-row report."""
 

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridneighbors import METRICS, LabeledPoint, Neighbor, NeighborBuffer, distance
+from gridneighbors import METRICS, Neighbor, NeighborBuffer, distance
 from gridneighbors.core import ordering_keys
 
 
@@ -79,16 +77,6 @@ class TestOrderingKeys:
             }
             for name, (block, expected) in layouts.items():
                 assert np.array_equal(ordering_keys(q, block, metric), expected), (name, m)
-
-
-class TestLabeledPoint:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            LabeledPoint([1.0, float("nan")], 0, 0)
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            LabeledPoint([math.inf], 0, 0)
 
 
 def _oracle_topk(pushes, k):

@@ -15,8 +15,7 @@ class TestLoadCsv:
     def test_header_and_label_by_name(self, tmp_path):
         path = _write(tmp_path, "a,b,cls\n1,2,x\n3,4,y\n5,6,x\n")
         pts = load_csv(DatasetSpec(path, "cls", "classification"))
-        assert len(pts) == 3
-        assert pts[0].dim == 2
+        assert pts.coords.shape == (3, 2)
         assert [p.label for p in pts] == [0, 1, 0]  # dense ids, first-seen order
 
     def test_label_by_index_no_header(self, tmp_path):
@@ -38,6 +37,11 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="non-numeric feature"):
             load_csv(DatasetSpec(path, "cls", "classification"))
 
+    def test_label_column_only_rejected(self, tmp_path):
+        path = _write(tmp_path, "cls\nx\ny\n")
+        with pytest.raises(ValueError, match="no feature columns"):
+            load_csv(DatasetSpec(path, "cls", "classification"))
+
     def test_unknown_label_column(self, tmp_path):
         path = _write(tmp_path, "a,b,cls\n1,2,x\n")
         with pytest.raises(DatasetError, match="unknown label column"):
@@ -49,8 +53,7 @@ class TestLoadCsv:
         rows = [",".join(f"{v:.3f}" for v in rng.uniform(0, 10, 11)) + f",{rng.integers(3, 9)}" for _ in range(20)]
         path = _write(tmp_path, header + "\n" + "\n".join(rows) + "\n")
         pts = load_csv(DatasetSpec(path, "quality", "classification"))
-        assert len(pts) == 20
-        assert all(p.dim == 11 for p in pts)
+        assert pts.coords.shape == (20, 11)
         # recount against an independent reader
         import csv
         with open(path, newline="") as fh:

@@ -8,7 +8,6 @@ import pytest
 
 from gridneighbors import (
     GridParams,
-    LabeledPoint,
     build,
     cell_points,
     fit_cell_measurements,
@@ -64,8 +63,8 @@ class TestFitCellMeasurements:
         assert params.widths[0] == 1.0
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
-            fit_cell_measurements([])
+        with pytest.raises(ValueError, match="empty dataset"):
+            fit_cell_measurements(points_from_arrays(np.zeros((0, 2)), []))
 
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(150):
@@ -134,34 +133,33 @@ class TestHashCell:
 class TestBuild:
     def test_single_point(self):
         index = build(_pts([[2.0, 3.0]]))
-        assert len(index.table) == 1
-        ((cell, bucket),) = index.table.items()
-        assert list(bucket) == [0]
+        assert index.cell_array.tolist() == [list(hash_cell((2.0, 3.0), index.params))]
+        assert index.offsets.tolist() == [0, 1] and index.order.tolist() == [0]
 
     def test_recount_and_roundtrip(self, rng):
         X = rng.normal(0, 3, (200, 2))
         index = build(points_from_arrays(X, [0] * 200))
-        total = sum(len(b) for b in index.table.values())
-        assert total == 200
-        assert len(index.table) <= 200
-        seen = sorted(int(i) for b in index.table.values() for i in b)
-        assert seen == list(range(200))
+        assert index.offsets[-1] == 200
+        assert len(index.cell_array) <= 200
+        assert sorted(index.order.tolist()) == list(range(200))
         for i, x in enumerate(X):
             assert i in cell_points(index, hash_cell(x, index.params))
 
     def test_buckets_preserve_input_order(self):
-        X = np.array([[0.1], [0.2], [0.15]])
-        index = build(points_from_arrays(X, [0] * 3), params=GridParams([1.0], [0.0], [1]))
+        X = np.array([[0.1], [0.2], [0.15], [1.5]])
+        index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [0.0], [1]))
         assert cell_points(index, (0,)) == [0, 1, 2]
+        assert cell_points(index, np.array([1])) == [3]
 
     def test_cell_points_absent(self):
-        index = build(_pts([[1.0, 1.0]]))
-        assert cell_points(index, (99, 99)) == []
-
-    def test_mixed_dimensions_rejected(self):
-        pts = [LabeledPoint([1.0], 0, 0), LabeledPoint([1.0, 2.0], 0, 1)]
-        with pytest.raises(ValueError):
-            build(pts)
+        index = build(_pts([[1.0, 1.0]]), params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+        assert cell_points(index, (1, 1)) == [0]
+        # A non-integer cell is not truncated to the occupied cell (1, 1).
+        for cell in [(99, 99), (1.9, 1), (1, 1.5), (2**70, 1), (float("nan"), 1)]:
+            assert cell_points(index, cell) == []
+        for cell in [(1,), (1, 1, 1), ()]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                cell_points(index, cell)
 
 
 class TestSerialization:
@@ -192,13 +190,6 @@ class TestSerialization:
         path.write_bytes(b"not an index")
         with pytest.raises(ValueError):
             load_index(path)
-
-    def test_table_is_built_on_first_use(self, rng):
-        X = rng.normal(0, 2, (50, 2))
-        index = build(points_from_arrays(X, [0] * 50))
-        assert "table" not in vars(index)
-        assert sum(len(b) for b in index.table.values()) == 50
-        assert "table" in vars(index)
 
 
 class TestCellCoords:

@@ -7,6 +7,7 @@ import pytest
 from gridneighbors import (
     DatasetSpec,
     LabeledPoint,
+    Scaler,
     apply_scaler,
     brute_build,
     brute_knn,
@@ -18,9 +19,9 @@ from gridneighbors import (
     knn_query,
     load_csv,
     points_from_arrays,
+    run_bench,
     split,
 )
-from gridneighbors.core import PointSet, as_points
 
 DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "clusters.csv")
 
@@ -60,6 +61,10 @@ class TestPointSet:
             points_from_arrays(np.zeros(3), [0, 0, 0])
         with pytest.raises(ValueError, match="labels length"):
             points_from_arrays(np.zeros((3, 2)), [0, 0])
+        with pytest.raises(ValueError, match="empty dataset"):
+            points_from_arrays(np.zeros((0, 2)), [])
+        with pytest.raises(ValueError, match="no feature columns"):
+            points_from_arrays(np.empty((5, 0)), [0] * 5)
 
     def test_index_does_not_alias_the_callers_array(self, rng):
         X = rng.normal(0, 5, (200, 2))
@@ -81,67 +86,31 @@ class TestPointSet:
         assert np.array_equal(index.coords, X)
 
 
-class TestAsPoints:
-    def test_point_set_is_returned_unchanged(self, rng):
-        pts, _ = _data(rng)
-        assert as_points(pts) is pts
-
-    def test_list_is_stacked_once(self, rng):
-        pts, X = _data(rng)
-        got = as_points(list(pts))
-        assert isinstance(got, PointSet)
-        assert np.array_equal(got.coords, X) and got.labels == pts.labels
-
-    def test_empty_and_mixed_dimensions(self):
-        for empty in ([], points_from_arrays(np.zeros((0, 2)), [])):
-            with pytest.raises(ValueError, match="empty dataset"):
-                as_points(empty)
-        with pytest.raises(ValueError, match="mixed dimensions"):
-            as_points([LabeledPoint([0.0], 0, 0), LabeledPoint([0.0, 1.0], 0, 1)])
+_SET_UP = {
+    "fit_cell_measurements": fit_cell_measurements,
+    "build": build,
+    "brute_build": brute_build,
+    "kdtree_build": kdtree_build,
+    "split": lambda pts: split(pts, 0.7, seed=3),
+    "fit_scaler": lambda pts: fit_scaler(pts, "standard"),
+    "apply_scaler": lambda pts: apply_scaler(Scaler("none", np.zeros(3), np.ones(3)), pts),
+    "run_bench": lambda pts: run_bench(pts, task="classification"),
+}
 
 
-class TestSameResultsForListInput:
-    """Every set-up function gives the same result for a PointSet and its list."""
-
-    @pytest.mark.parametrize("mode", ["heuristic", "guaranteed"])
-    def test_build(self, rng, mode):
-        pts, X = _data(rng)
-        a, b = build(pts), build(list(pts))
-        for name in ("coords", "cell_array", "order", "offsets"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.labels == b.labels
-        assert np.array_equal(a.params.widths, b.params.widths)
-        for q in X[:20] + 0.3:
-            assert knn_query(a, q, 4, mode) == knn_query(b, q, 4, mode)
-
-    def test_brute_and_kdtree(self, rng):
-        pts, X = _data(rng)
-        for make, query in ((brute_build, brute_knn), (kdtree_build, kdtree_knn)):
-            a, b = make(pts), make(list(pts))
-            assert np.array_equal(a.coords, b.coords) and a.labels == b.labels
-            for q in X[:20] - 0.2:
-                assert query(a, q, 3) == query(b, q, 3)
-
-    def test_split(self, rng):
-        pts, _ = _data(rng)
-        for a, b in zip(split(pts, 0.7, seed=3), split(list(pts), 0.7, seed=3)):
-            assert isinstance(a, PointSet) and isinstance(b, PointSet)
-            assert np.array_equal(a.coords, b.coords) and a.labels == b.labels
-
-    @pytest.mark.parametrize("kind", ["standard", "minmax", "none"])
-    def test_fit_scaler(self, rng, kind):
-        pts, _ = _data(rng)
-        a, b = fit_scaler(pts, kind), fit_scaler(list(pts), kind)
-        assert np.array_equal(a.shift, b.shift) and np.array_equal(a.scale, b.scale)
-        scaled = apply_scaler(a, pts)
-        assert np.array_equal(scaled.coords, apply_scaler(b, list(pts)).coords)
+@pytest.mark.parametrize("name", _SET_UP)
+def test_set_up_rejects_a_list_of_points(rng, name):
+    # PointSet is the only point container: a list of its rows is not stacked.
+    pts, _ = _data(rng)
+    with pytest.raises(AttributeError):
+        _SET_UP[name](list(pts))
 
 
 def test_set_up_chain_builds_no_labeled_point(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("a LabeledPoint was built")
 
-    monkeypatch.setattr(LabeledPoint, "__post_init__", refuse)
+    monkeypatch.setattr(LabeledPoint, "__init__", refuse)
     with pytest.raises(AssertionError):
         LabeledPoint(np.zeros(2), 0, 0)  # the patch is in force
 
