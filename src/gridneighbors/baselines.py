@@ -9,7 +9,6 @@ correctness oracle for every other strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .core import (
 @dataclass(frozen=True)
 class BruteIndex:
     coords: np.ndarray
-    labels: Sequence[object]
+    labels: np.ndarray
     metric: str
 
     @property
@@ -49,7 +48,7 @@ def brute_knn(index: BruteIndex, q, k: int) -> list[Neighbor]:
     keys = ordering_keys(q, index.coords, index.metric)
     order = np.lexsort((np.arange(index.size), keys))[:k]
     dists = keys_to_distances(keys[order], index.metric).tolist()
-    return [Neighbor(d, i, index.labels[i]) for d, i in zip(dists, order.tolist())]
+    return list(map(Neighbor, dists, order.tolist(), index.labels[order].tolist()))
 
 
 @dataclass(slots=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -184,9 +185,9 @@ def run_bench(
             recall_at_k=recall,
         )
         if task == "classification":
-            row.accuracy = float(np.mean([p == t for p, t in zip(preds, test_s.labels)]))
+            row.accuracy = float(np.mean(np.asarray(preds) == test_s.labels))
         else:
-            row.rmse = float(np.sqrt(np.mean([(p - t) ** 2 for p, t in zip(preds, test_s.labels)])))
+            row.rmse = float(np.sqrt(np.mean((np.asarray(preds) - test_s.labels) ** 2)))
         if name == "ghn":
             stats = [st for _, st in answers]
             row.mean_layers_visited = float(np.mean([s.layers_visited for s in stats]))
@@ -238,6 +239,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         has_header=not args.no_header,
     )
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"{args.out}: no such output directory")  # before the run, not after
     try:
         report = run_bench(
             spec,
@@ -250,14 +253,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             split_fraction=args.split,
             metric=args.metric,
         )
+        text = {"json": report.to_json, "csv": report.to_csv, "md": report.to_markdown}[args.report]()
+        text = text if text.endswith("\n") else text + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))  # one "bench: error: ..." line, exit status 2
-    text = {"json": report.to_json, "csv": report.to_csv, "md": report.to_markdown}[args.report]()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Core domain types shared by every search strategy.
 
-The PointSet (a coords matrix plus labels), the one point container that
-every set-up stage takes and returns, and LabeledPoint, its row view;
-neighbor records, distance metrics, the query check, and the bounded
-top-k buffer in which the grid walk and the kd-tree select their
-neighbors.
+The PointSet (a coords matrix plus a label array), the one point
+container that every set-up stage takes and returns, and LabeledPoint,
+its row view; neighbor records, distance metrics, the query check, and
+the bounded top-k buffer in which the grid walk and the kd-tree select
+their neighbors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import numpy as np
 
 #: Supported distance metrics.
 METRICS = ("euclidean", "manhattan", "chebyshev")
+
+#: dtype kinds a label array may have: bool, signed and unsigned integer,
+#: float and str. PointSet and load_index both hold labels to them.
+LABEL_KINDS = "biufU"
 
 
 @dataclass(frozen=True)
@@ -35,15 +39,24 @@ class LabeledPoint:
 class PointSet(Sequence):
     """n >= 1 labeled points: an (n, d) finite float matrix, d >= 1, and n labels.
 
-    Indexing builds LabeledPoint(coords[i], labels[i], i) on demand; the
-    set-up functions read .coords and .labels and build no per-row object.
+    labels is a read-only 1-D array, all numbers or all strings. Indexing
+    builds LabeledPoint(coords[i], labels[i].item(), i) on demand.
     """
 
     def __init__(self, coords, labels):
-        # A read-only copy: an index built from the set shares this matrix.
+        # Read-only copies: an index built from the set shares both arrays.
         self.coords = np.array(coords, dtype=float)
         self.coords.flags.writeable = False
-        self.labels = list(labels)
+        self.labels = np.array(labels)
+        self.labels.flags.writeable = False
+        if self.labels.ndim != 1:
+            raise ValueError("labels must be a 1-D sequence")
+        if self.labels.dtype.kind not in LABEL_KINDS:
+            raise ValueError(f"labels must be numbers or strings, got dtype {self.labels.dtype}")
+        # numpy turns numbers among strings into strings without a word.
+        if self.labels.dtype.kind == "U" and not isinstance(labels, np.ndarray):
+            if not all(isinstance(v, str) for v in labels):
+                raise ValueError("labels mix strings and non-strings")
         if self.coords.ndim != 2:
             raise ValueError("coords must be an (n, d) matrix")
         if self.coords.shape[0] == 0:
@@ -61,11 +74,11 @@ class PointSet(Sequence):
 
     def __getitem__(self, i) -> LabeledPoint:
         i = range(len(self))[i]  # wraps a negative index, raises IndexError past the end
-        return LabeledPoint(self.coords[i], self.labels[i], i)
+        return LabeledPoint(self.coords[i], self.labels[i].item(), i)
 
 
 def points_from_arrays(coords, labels) -> PointSet:
-    """Wrap an (n, d) feature matrix and a length-n label sequence."""
+    """Wrap an (n, d) feature matrix and n labels, all numbers or all strings."""
     return PointSet(coords, labels)
 
 
@@ -223,7 +236,7 @@ class NeighborBuffer:
         """Retained entries, (key, index) ascending, as unlabelled Neighbors."""
         return [Neighbor(d, i) for d, i in zip(self.keys.tolist(), self.idx.tolist())]
 
-    def labelled(self, metric: str, labels) -> list[Neighbor]:
+    def labelled(self, metric: str, labels: np.ndarray) -> list[Neighbor]:
         """Retained entries with their keys as metric distances and labels[index]."""
         dists = keys_to_distances(self.keys, metric).tolist()
-        return [Neighbor(d, i, labels[i]) for d, i in zip(dists, self.idx.tolist())]
+        return list(map(Neighbor, dists, self.idx.tolist(), labels[self.idx].tolist()))

@@ -40,7 +40,7 @@ def load_csv(spec: DatasetSpec) -> PointSet:
     appearance; regression targets are parsed as floats. Row order is
     preserved.
     """
-    with open(spec.path, newline="", encoding="utf-8") as fh:
+    with open(spec.path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
         rows = list(csv.reader(fh))
     start_line = 1
     header: list[str] | None = None
@@ -108,7 +108,7 @@ def split(data: PointSet, fraction: float, seed: int) -> tuple[PointSet, PointSe
         raise ValueError(f"degenerate split: {n_train}/{n - n_train} from n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     sides = perm[:n_train], perm[n_train:]
-    return tuple(PointSet(data.coords[s], [data.labels[j] for j in s.tolist()]) for s in sides)
+    return tuple(PointSet(data.coords[s], data.labels[s]) for s in sides)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ fitted widths. The index stores the non-empty cells in CSR layout: sorted
 cell ids, the point indices sorted by cell, and one start offset per cell
 (the cell-sorted array with cell start offsets of S. Green, "Particle
 Simulation using CUDA", NVIDIA 2010), which the query also reads the
-coordinates in, built on the first query. The binary file holds the CSR
-arrays, so loading reads them back without rebuilding anything.
+coordinates in, built on the first query. The binary file holds these and
+the PointSet's arrays as they are; loading rebuilds and converts nothing.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .core import METRICS, PointSet, _check_metric
+from .core import LABEL_KINDS, METRICS, PointSet, _check_metric
 
 CellId = tuple[int, ...]
 
@@ -142,12 +141,12 @@ class GridIndex:
     cell_points reads a cell's points from them; there is no other view of
     the cells. The query reads cell i's coordinates as the contiguous
     columns offsets[i]:offsets[i + 1] of cell_coords, which its first call
-    builds.
+    builds. coords and labels are the PointSet's read-only arrays.
     """
 
     params: GridParams
     coords: np.ndarray
-    labels: Sequence[object]
+    labels: np.ndarray
     metric: str
     cell_array: np.ndarray
     order: np.ndarray
@@ -218,12 +217,13 @@ def cell_points(index: GridIndex, cell) -> list[int]:
 
 _MAGIC = b"GHNIDX\x01\n"
 _ARRAY_FIELDS = ("widths", "origin", "splits", "coords", "labels", "cell_ids", "offsets", "order")
-# dtype kind of each array but labels, which may be any numeric or string dtype.
+# dtype kinds each array may have, checked before any is read; labels as in PointSet.
 _KINDS = {
     "widths": "f",
     "origin": "f",
     "splits": "i",
     "coords": "f",
+    "labels": LABEL_KINDS,
     "cell_ids": "i",
     "offsets": "i",
     "order": "i",
@@ -238,15 +238,12 @@ def save_index(index: GridIndex, path) -> None:
     offsets and order arrays are the index's CSR arrays, written as is.
     save -> load -> save reproduces the file byte for byte.
     """
-    labels = np.asarray(index.labels)
-    if labels.dtype == object:
-        raise ValueError("labels must be numeric or strings to serialize")
     arrays = {
         "widths": index.params.widths,
         "origin": index.params.origin,
         "splits": index.params.splits,
         "coords": index.coords,
-        "labels": labels,
+        "labels": index.labels,
         "cell_ids": index.cell_array,
         "offsets": index.offsets,
         "order": index.order,
@@ -271,12 +268,13 @@ def save_index(index: GridIndex, path) -> None:
 def load_index(path) -> GridIndex:
     """Read an index written by save_index.
 
-    The file is checked before it is used: every array must be complete
-    and shaped as the header and the other arrays say, offsets must rise
-    strictly from 0 to n, order must be a permutation of 0..n-1 and cell
-    ids must be strictly increasing. Any change to the order region breaks
-    the permutation; a change to the offsets region is caught when it
-    breaks the strict rise. Coordinates and labels are not checksummed.
+    The file is checked before it is used: every array must be complete,
+    of its dtype kind and shaped as the header and the other arrays say,
+    offsets must rise strictly from 0 to n, order must be a permutation of
+    0..n-1 and cell ids must be strictly increasing. Any change to the
+    order region breaks the permutation; a change to the offsets region is
+    caught when it breaks the strict rise. Coordinates and labels are not
+    checksummed; they come back read-only.
     Raises ValueError naming the path for a truncated or corrupt file.
     """
     with open(path, "rb") as fh:
@@ -298,7 +296,9 @@ def load_index(path) -> GridIndex:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad header: {exc}") from None
         for name, dtype, shape in layout:
-            if dtype.hasobject or not all(type(v) is int and v >= 0 for v in shape):
+            if dtype.kind not in _KINDS[name]:
+                raise ValueError(f"{path}: {name} has dtype {dtype}, expected a kind in {_KINDS[name]!r}")
+            if not all(type(v) is int and v >= 0 for v in shape):
                 raise ValueError(f"{path}: corrupt header entry for {name}")
         if metric not in METRICS:
             raise ValueError(f"{path}: unknown metric {metric!r}")
@@ -310,6 +310,8 @@ def load_index(path) -> GridIndex:
             arrays[name] = np.empty(shape, dtype=dtype)
             if fh.readinto(arrays[name]) != arrays[name].nbytes:
                 raise ValueError(f"{path}: truncated in the {name} array")
+    for name in ("coords", "labels"):  # read-only, as in the PointSet they were saved from
+        arrays[name].flags.writeable = False
     offsets, order = _check_arrays(path, arrays)
     try:
         params = GridParams(arrays["widths"], arrays["origin"], arrays["splits"])
@@ -342,9 +344,6 @@ def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
-    for name, kind in _KINDS.items():
-        if arrays[name].dtype.kind != kind:
-            raise ValueError(f"{path}: {name} has dtype {arrays[name].dtype}, expected kind {kind!r}")
     offsets = arrays["offsets"].astype(np.int64, copy=False)
     if offsets[0] != 0 or offsets[-1] != n or np.any(offsets[1:] <= offsets[:-1]):
         raise ValueError(f"{path}: offsets do not rise strictly from 0 to {n}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import as_pairs
+from helpers import as_pairs
 from gridneighbors import (
     GridParams,
     Neighbor,

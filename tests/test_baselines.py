@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import as_pairs, clustered, uniform
+from helpers import as_pairs, clustered, uniform
 from gridneighbors import (
     NeighborBuffer,
     brute_build,
@@ -24,7 +24,7 @@ class TestBruteKnn:
 
     def test_nearest_in_circle(self):
         X = np.array([[0.0, 0.1], [0.2, 0.0], [-0.1, -0.1], [5.0, 5.0], [6.0, -4.0]])
-        got = brute_knn(brute_build(points_from_arrays(X, "AABBA")), (0.0, 0.0), 3)
+        got = brute_knn(brute_build(points_from_arrays(X, list("AABBA"))), (0.0, 0.0), 3)
         assert sorted(n.point_index for n in got) == [0, 1, 2]
 
     def test_kth_distance_monotone_in_k(self, rng):

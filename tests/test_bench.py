@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import clustered
+from helpers import clustered
 from gridneighbors import DatasetSpec, run_bench
 from gridneighbors.bench import main, strip_timing
 
@@ -136,6 +136,31 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("bench: error: ") and message in err[-1]
+        assert not any("Traceback" in line for line in err)
+
+
+    def test_missing_out_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        from gridneighbors import bench
+
+        calls = []
+        monkeypatch.setattr(bench, "run_bench", lambda *a, **kw: calls.append(1))
+        out = tmp_path / "no_such_dir" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["--dataset", DATA_CSV, "--label-col", "label", "--out", str(out)])
+        assert exc.value.code == 2 and calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("bench: error:")] == [
+            f"bench: error: {out}: no such output directory"
+        ]
+        assert not any("Traceback" in line for line in err)
+
+    def test_failed_report_write_is_one_error_line(self, tmp_path, capsys):
+        # The directory exists but the path is a directory, so open() fails after the run.
+        with pytest.raises(SystemExit) as exc:
+            main(["--dataset", DATA_CSV, "--label-col", "label", "--algos", "brute", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("bench: error: ") and str(tmp_path) in err[-1]
         assert not any("Traceback" in line for line in err)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,23 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,b,cls\n1,2,x\n")
         with pytest.raises(DatasetError, match="unknown label column"):
             load_csv(DatasetSpec(path, "target", "classification"))
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("label,x,y\nb,1,2\na,3,4.5\nb,-1,0\n", ("label", True)),
+            ("b,1,2\na,3,4.5\nb,-1,0\n", (0, False)),
+        ],
+        ids=["header", "no-header"],
+    )
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, text, spec):
+        label_column, has_header = spec
+        plain = _write(tmp_path, text, "plain.csv")
+        bom = _write(tmp_path, "\ufeff" + text, "bom.csv")
+        assert Path(bom).read_bytes()[:3] == b"\xef\xbb\xbf"
+        a, b = (load_csv(DatasetSpec(path, label_column, "classification", has_header)) for path in (plain, bom))
+        assert np.array_equal(a.coords, b.coords) and a.coords.shape == (3, 2)
+        assert a.labels.tolist() == b.labels.tolist() == [0, 1, 0]
 
     def test_wine_quality_shape(self, tmp_path, rng):
         # 11 numeric features plus a quality label column.

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import as_pairs, clustered, uniform
+from helpers import as_pairs, clustered, uniform
 from gridneighbors import (
     GridParams,
     brute_build,

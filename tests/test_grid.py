@@ -10,6 +10,7 @@ from gridneighbors import (
     GridParams,
     build,
     cell_points,
+    classify,
     fit_cell_measurements,
     hash_cell,
     knn_query,
@@ -184,6 +185,37 @@ class TestSerialization:
         a, _ = knn_query(index, q, 5, "guaranteed")
         b, _ = knn_query(loaded, q, 5, "guaranteed")
         assert [(n.distance, n.point_index) for n in a] == [(n.distance, n.point_index) for n in b]
+
+    @pytest.mark.parametrize("kind", ["int", "float", "str"])
+    def test_loaded_index_returns_the_same_python_labels(self, rng, tmp_path, kind):
+        X = rng.normal(0, 2, (200, 2))
+        y = rng.integers(0, 3, 200)
+        labels = {"int": y.tolist(), "float": (y / 2).tolist(), "str": [f"c{v}" for v in y]}[kind]
+        index = build(points_from_arrays(X, labels))
+        save_index(index, tmp_path / "idx.ghn")
+        loaded = load_index(tmp_path / "idx.ghn")
+        assert isinstance(loaded.labels, np.ndarray) and not loaded.labels.flags.writeable
+        for q in X[:20] + 0.05:
+            for mode in ("heuristic", "guaranteed"):
+                a, _ = knn_query(index, q, 3, mode)
+                b, _ = knn_query(loaded, q, 3, mode)
+                assert a == b
+                assert [type(n.label) for n in b] == [type(v) for v in labels[:3]]
+                assert json.loads(json.dumps(classify(b).value)) == classify(a).value
+
+    def test_label_dtype_outside_the_point_set_rule_rejected(self, rng, tmp_path):
+        index = build(points_from_arrays(rng.normal(0, 2, (30, 2)), rng.integers(0, 3, 30)))
+        save_index(index, tmp_path / "idx.ghn")
+        data = (tmp_path / "idx.ghn").read_bytes()
+        (blob_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + blob_len])
+        assert header["arrays"]["labels"]["dtype"] == "<i8"
+        header["arrays"]["labels"]["dtype"] = "<M8[s]"  # same item size: only the kind is wrong
+        blob = json.dumps(header, sort_keys=True).encode()
+        path = tmp_path / "dated.ghn"
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+        with pytest.raises(ValueError, match="dated.ghn: labels has dtype"):
+            load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ghn"

@@ -43,11 +43,43 @@ class TestPointSet:
         with pytest.raises(IndexError):
             pts[10]
 
-    def test_labels_keep_values_and_types(self):
-        labels = ["a", 2, 3.5, np.int64(4)]
-        pts = points_from_arrays(np.zeros((4, 1)), labels)
-        assert pts.labels == labels
-        assert [type(v) for v in pts.labels] == [type(v) for v in labels]
+    @pytest.mark.parametrize(
+        "labels", [[3, 1, 2, 3], [0.5, 1.5, 2.5, 0.5], ["a", "bc", "a", "d"]], ids=["int", "float", "str"]
+    )
+    def test_labels_come_back_as_equal_python_values(self, labels):
+        X = np.arange(4.0).reshape(-1, 1)
+        pts = points_from_arrays(X, labels)
+        assert isinstance(pts.labels, np.ndarray) and pts.labels.shape == (4,)
+        row_labels = [p.label for p in pts]
+        assert row_labels == labels and [type(v) for v in row_labels] == [type(v) for v in labels]
+        for search in (lambda q: knn_query(build(pts), q, 1)[0], lambda q: brute_knn(brute_build(pts), q, 1)):
+            got = [search(x)[0].label for x in X]
+            assert got == labels and [type(v) for v in got] == [type(v) for v in labels]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["a", 2], "mix strings and non-strings"),
+            ([1, "a"], "mix strings and non-strings"),
+            ([None, 1], "numbers or strings"),
+            ([object(), object()], "numbers or strings"),
+            (np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"), "numbers or strings"),
+            ("ab", "1-D"),
+            ([[0], [1]], "1-D"),
+        ],
+        ids=["str-then-int", "int-then-str", "none", "objects", "datetimes", "bare-string", "2-d"],
+    )
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            points_from_arrays(np.zeros((2, 1)), labels)
+
+    def test_labels_are_a_read_only_copy(self):
+        y = np.array([0, 1, 2])
+        pts = points_from_arrays(np.zeros((3, 1)), y)
+        y[0] = 9
+        assert pts.labels.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            pts.labels[0] = 5
 
     def test_nan_names_the_first_bad_row(self, rng):
         X = rng.normal(size=(20, 3))
@@ -84,6 +116,23 @@ class TestPointSet:
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 1e6
         assert np.array_equal(index.coords, X)
+
+
+_STAGES = {
+    "split": lambda pts: split(pts, 0.7, seed=3)[1],
+    "apply_scaler": lambda pts: apply_scaler(Scaler("none", np.zeros(3), np.ones(3)), pts),
+    "build": build,
+    "brute_build": brute_build,
+    "kdtree_build": kdtree_build,
+}
+
+
+@pytest.mark.parametrize("name", _STAGES)
+def test_every_stage_holds_one_read_only_label_array(rng, name):
+    pts, _ = _data(rng)
+    labels = _STAGES[name](pts).labels
+    assert isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype == pts.labels.dtype
+    assert not labels.flags.writeable
 
 
 _SET_UP = {
