@@ -33,7 +33,6 @@ from .grid import (
     save_index,
 )
 from .predict import Prediction, classify, regress
-from .bench import BenchReport, run_bench
 
 __version__ = "0.1.0"
 
@@ -76,3 +75,13 @@ __all__ = [
     "split",
     "total_cell_count",
 ]
+
+
+def __getattr__(name):
+    # The bench module is imported on first use, so that `python -m
+    # gridneighbors.bench` does not find it already imported by the package.
+    if name in ("BenchReport", "run_bench"):
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

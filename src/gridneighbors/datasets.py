@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,36 +40,112 @@ def load_csv(spec: DatasetSpec) -> PointSet:
     Classification labels are mapped to dense class ids in order of first
     appearance; regression targets are parsed as floats. Row order is
     preserved.
+
+    The header and the label column are resolved from the first rows by
+    csv.reader. The data rows are then parsed a column group at a time by
+    np.loadtxt, when the file's bytes show that it splits into the same
+    fields as csv.reader would split it; otherwise, or when np.loadtxt
+    rejects a field, the per-row csv.reader loop parses the file and names
+    the first bad line. Both parses give the same doubles and class ids.
     """
     with open(spec.path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
-        rows = list(csv.reader(fh))
-    start_line = 1
-    header: list[str] | None = None
-    if spec.has_header:
-        if not rows:
+        rows = csv.reader(fh)
+        header = next(rows, None) if spec.has_header else None
+        if spec.has_header and header is None:
             raise DatasetError(f"{spec.path}: empty file")
-        header = rows[0]
-        rows = rows[1:]
-        start_line = 2
-    if not rows:
-        raise DatasetError(f"{spec.path}: no data rows")
-    ncols = len(rows[0]) if header is None else len(header)
+        first = next(rows, None)
+        if first is None:
+            raise DatasetError(f"{spec.path}: no data rows")
+        ncols = len(first if header is None else header)
+        try:
+            label_idx = _label_index(spec, header, ncols)
+        except DatasetError:
+            for _ in rows:  # a later decode or csv error is raised first, as a full read would
+                pass
+            raise
+        parsed = _parse_columns(spec, ncols, label_idx)
+        if parsed is None:
+            parsed = _parse_rows(spec, [first, *rows], ncols, label_idx)
+    return PointSet(*parsed)
 
+
+def _label_index(spec: DatasetSpec, header: list[str] | None, ncols: int) -> int:
     if isinstance(spec.label_column, int):
         label_idx = spec.label_column
         if not -ncols <= label_idx < ncols:
             raise DatasetError(f"{spec.path}: label column index {label_idx} out of range")
-        label_idx %= ncols
-    else:
-        if header is None:
-            raise DatasetError(f"{spec.path}: label column by name requires a header")
-        try:
-            label_idx = header.index(spec.label_column)
-        except ValueError:
-            raise DatasetError(
-                f"{spec.path}: unknown label column {spec.label_column!r}; have {header}"
-            ) from None
+        return label_idx % ncols
+    if header is None:
+        raise DatasetError(f"{spec.path}: label column by name requires a header")
+    try:
+        return header.index(spec.label_column)
+    except ValueError:
+        raise DatasetError(
+            f"{spec.path}: unknown label column {spec.label_column!r}; have {header}"
+        ) from None
 
+
+def _parse_columns(spec: DatasetSpec, ncols: int, label_idx: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The data rows as (coords, labels) from two np.loadtxt passes, or None.
+
+    None unless the bytes prove np.loadtxt sees csv.reader's fields: no
+    quote (csv.reader unquotes), no NUL (numpy drops trailing NULs from a
+    string), no lone CR (csv.reader ends a line there), no blank line
+    (np.loadtxt skips it), no line longer than csv.reader's field limit,
+    and ncols - 1 commas a line. np.loadtxt raises on a row missing a used
+    column, and both passes use every column, so the comma total rules
+    out a row with extra ones. np.loadtxt reads a number as float() does,
+    but accepts fewer spellings (no "1_0", no non-ASCII digits); None also
+    when it rejects a field.
+    """
+    with open(spec.path, "rb") as fh:
+        raw = fh.read()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))  # the last line has no newline
+    line_bytes = np.diff(ends, prepend=-1)  # its newline included
+    crs = raw.count(b"\r")
+    if (
+        ncols < 2
+        or b'"' in raw
+        or b"\0" in raw
+        or (crs and (crs != raw.count(b"\r\n") or b"\n\r\n" in raw))
+        or (line_bytes == 1).any()
+        or line_bytes.max() > csv.field_size_limit()
+        or np.count_nonzero(buf == ord(",")) != (ncols - 1) * ends.size
+    ):
+        return None
+    del raw, buf
+    read = partial(
+        np.loadtxt,
+        spec.path,
+        delimiter=",",
+        comments=None,
+        quotechar=None,
+        skiprows=int(spec.has_header),
+        encoding="utf-8-sig",
+    )
+    try:
+        coords = read(usecols=[j for j in range(ncols) if j != label_idx], ndmin=2)
+        if spec.task == "regression":
+            return coords, read(usecols=label_idx, ndmin=1)
+        names = read(usecols=label_idx, ndmin=1, dtype=str)  # sized to the longest label
+    except ValueError:
+        return None
+    _, first, ids = np.unique(names, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)  # class ids in order of first appearance
+    return coords, rank[ids]
+
+
+def _parse_rows(spec: DatasetSpec, rows: list[list[str]], ncols: int, label_idx: int) -> tuple[list, list]:
+    """The data rows as (coords, labels), parsed row by row by csv.reader's fields.
+
+    Raises DatasetError naming the line of the first ragged row, non-numeric
+    feature or non-numeric regression target.
+    """
+    start_line = 2 if spec.has_header else 1
     coords: list[list[float]] = []
     labels: list[object] = []
     class_ids: dict[str, int] = {}
@@ -92,7 +169,7 @@ def load_csv(spec: DatasetSpec) -> PointSet:
                     f"{spec.path}: line {line}: non-numeric regression target {raw_label!r}"
                 ) from None
         labels.append(label)
-    return PointSet(coords, labels)
+    return coords, labels
 
 
 def split(data: PointSet, fraction: float, seed: int) -> tuple[PointSet, PointSet]:

@@ -51,7 +51,11 @@ class GridParams:
         return self.widths.shape[0]
 
 
-def _bin_of(values: np.ndarray, lo: float, span: float, s: int) -> np.ndarray:
+#: Elements in one (candidate split counts x gaps) block of _max_splits_1d.
+_SPLIT_BLOCK = 1 << 14
+
+
+def _bin_of(values: np.ndarray, lo: float, span: float, s) -> np.ndarray:
     # Right edge is closed: the maximum value belongs to the last bin.
     return np.minimum(np.floor((values - lo) * s / span), s - 1)
 
@@ -61,7 +65,11 @@ def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
 
     A bin can only go empty inside a gap between consecutive distinct
     values, and only when gap * s > span, so each candidate s is checked
-    against the few largest gaps instead of rehashing every value.
+    against the few largest gaps instead of rehashing every value. The
+    candidates are tried from the top down in blocks of consecutive s: one
+    broadcast _bin_of over (block x largest gaps) per block, sized to at
+    most _SPLIT_BLOCK elements, and the first s of the block that passes
+    is the answer.
     """
     distinct = np.unique(values)
     if distinct.size == 1:
@@ -72,18 +80,28 @@ def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     max_gap = float(gaps.max())
     # Occupancy is guaranteed to fail once max_gap * s / span >= 2.
     s_hi = min(distinct.size, int(np.ceil(2.0 * span / max_gap)))
-    gaps_asc = np.sort(gaps)
-    by_size = np.argsort(gaps, kind="stable")[::-1]
+    # The gaps wider than span / s are the first cnt of by_size whatever
+    # order ties take, so an unstable sort serves.
+    by_size = np.argsort(gaps)
+    gaps_asc = gaps[by_size]
+    by_size = by_size[::-1]
     left = distinct[:-1][by_size]
     right = distinct[1:][by_size]
-    for s in range(s_hi, 1, -1):
-        cnt = gaps.size - int(np.searchsorted(gaps_asc, span / s, side="right"))
-        if cnt == 0:
-            return s, span / s
-        lb = _bin_of(left[:cnt], lo, span, s)
-        rb = _bin_of(right[:cnt], lo, span, s)
-        if (rb - lb).max() <= 1:
-            return s, span / s
+    top = s_hi
+    while top > 1:
+        cnt_top = gaps.size - int(np.searchsorted(gaps_asc, span / top, side="right"))
+        block = max(1, _SPLIT_BLOCK // max(cnt_top, 1))
+        s = np.arange(top, max(top - block, 1), -1)
+        cnt = gaps.size - np.searchsorted(gaps_asc, span / s, side="right")
+        lb = _bin_of(left[None, :cnt_top], lo, span, s[:, None])
+        rb = _bin_of(right[None, :cnt_top], lo, span, s[:, None])
+        # Only the first cnt[i] gaps can empty a bin at s[i].
+        ok = ((rb - lb) <= 1) | (np.arange(cnt_top) >= cnt[:, None])
+        passed = np.flatnonzero(ok.all(axis=1))
+        if passed.size:
+            best = int(s[passed[0]])
+            return best, span / best
+        top = int(s[-1]) - 1
     return 1, span
 
 

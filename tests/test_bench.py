@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ from helpers import clustered
 from gridneighbors import DatasetSpec, run_bench
 from gridneighbors.bench import main, strip_timing
 
-DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "clusters.csv")
+ROOT = Path(__file__).resolve().parents[1]
+DATA_CSV = str(ROOT / "data" / "clusters.csv")
 
 
 def _spec():
@@ -87,6 +91,17 @@ class TestRunBench:
 
 
 class TestCli:
+    def test_module_command_runs_without_a_warning(self, tmp_path):
+        # The `python3 -m gridneighbors.bench` form README gives, any warning an error.
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gridneighbors.bench",
+             "--dataset", DATA_CSV, "--label-col", "label", "--k", "3"],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert {a["name"] for a in json.loads(run.stdout)["algorithms"]} == {"ghn", "brute", "kdtree"}
+
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main([

@@ -1,10 +1,15 @@
+import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridneighbors import DatasetSpec, apply_scaler, fit_scaler, load_csv, points_from_arrays, split
+from gridneighbors import datasets
 from gridneighbors.datasets import DatasetError
+from reference_csv import reference_load_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -78,6 +83,154 @@ class TestLoadCsv:
         with open(path, newline="") as fh:
             raw = list(csv.reader(fh))
         assert len(pts) == len(raw) - 1
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+INTS = st.integers(-(10**6), 10**6).map(str)
+# Spellings float() and np.loadtxt may read differently, or that one rejects.
+ODD_NUMBERS = st.sampled_from(
+    ["1_0", " 1.5", "2.5 ", "+.5", "-0", "1e999", "nan", "-inf", "", "x", "١", "\xa01", "0x10", "1,5", '"2"']
+)
+PLAIN_LABELS = st.sampled_from(["a", "b", "c0", "7", "7.0"])
+ODD_LABELS = st.one_of(
+    st.sampled_from([" a", "a ", "#a", "", "x,z", 'say "hi"', "l" * 40, "a\x00", "é", "﻿a"]),
+    st.text(st.characters(codec="utf-8"), max_size=20),
+)
+
+
+def _field(value, quote):
+    """A CSV field, quoted as csv.writer quotes it when quote is set."""
+    if quote and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def csv_cases(draw):
+    """(text, label_column, task, has_header): a CSV file and how to read it."""
+    ncols = draw(st.integers(1, 4))
+    task = draw(st.sampled_from(["classification", "regression"]))
+    has_header = draw(st.booleans())
+    label_pos = draw(st.integers(0, ncols - 1))
+    odd = draw(st.booleans())
+    numbers = st.one_of(FLOATS, INTS, ODD_NUMBERS) if odd else st.one_of(FLOATS, INTS)
+    if task == "regression":
+        labels = numbers
+    else:
+        labels = st.one_of(PLAIN_LABELS, ODD_LABELS) if odd else PLAIN_LABELS
+    rows = [
+        [draw(labels) if j == label_pos else draw(numbers) for j in range(ncols)]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    if has_header:
+        rows.insert(0, ["label" if j == label_pos else f"f{j}" for j in range(ncols)])
+    quote = draw(st.booleans())
+    lines = [",".join(_field(v, quote) for v in row) for row in rows]
+    for edit in draw(st.lists(st.sampled_from(["blank", "comment", "spaces", "extra", "short"]), max_size=2)):
+        at = draw(st.integers(0, len(lines) - 1))
+        if edit == "extra":
+            lines[at] += ",9"
+        elif edit == "short":
+            lines[at] = lines[at].rpartition(",")[0]
+        else:
+            lines.insert(at + 1, {"blank": "", "comment": "# note", "spaces": "  "}[edit])
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    if draw(st.booleans()):
+        text = "﻿" + text
+    names = ["label"] if has_header else []
+    label_column = draw(st.sampled_from([*names, label_pos, label_pos - ncols, ncols, "missing"]))
+    return text, label_column, task, has_header
+
+
+def _outcome(load, spec):
+    """What a loader made of a file: the PointSet's bytes, or the error it raised."""
+    try:
+        pts = load(spec)
+    except (ValueError, csv.Error) as exc:  # DatasetError, PointSet's checks, decode errors
+        return type(exc), str(exc)
+    return pts.coords.shape, pts.coords.tobytes(), pts.labels.dtype, pts.labels.tobytes()
+
+
+class TestLoadCsvMatchesRowLoop:
+    """load_csv against the frozen per-row parse: same points, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_cases())
+    @example(case=("a,b,label\n1,2,x\n3,4,y,5\n", "label", "classification", True))  # extra column
+    @example(case=("a,b,label\n1,2,x\n\n3,4,y\n", "label", "classification", True))  # blank line
+    @example(case=("a,b,label\n1,2,x\n#3,4,y\n", "label", "classification", True))  # leading #
+    @example(case=('a,b,label\n1,2,"x,z"\n3,4,y\n', "label", "classification", True))  # quoted comma
+    @example(case=('a,b,label\n1,2,"say ""hi"""\n3,4,y\n', -1, "classification", True))  # doubled quotes
+    @example(case=("a,b,label\n1,2, x\n3,4,x\n", "label", "classification", True))  # leading spaces
+    @example(case=("a,b,label\n1_0,2,x\n3,4,y\n", "label", "classification", True))  # 1_0
+    @example(case=("a,b,label\n1,2,1_0\n3,4,2\n", "label", "regression", True))  # 1_0 target
+    @example(case=("1,2," + "l" * 40 + "\n3,4," + "l" * 39 + "\n", -1, "classification", False))  # long label
+    @example(case=("a,b,label\r\n1,2,x\r\n3,4,y\r\n", "label", "classification", True))  # CRLF
+    @example(case=("﻿a,b,label\n1,2,x\n", "label", "classification", True))  # BOM, one row
+    @example(case=("1,2,x\n3,4,y\n", -3, "classification", False))  # label first, by negative index
+    @example(case=("a,b,label\n1,2,x\r3,4,y\n", "label", "classification", True))  # lone CR
+    @example(case=("a,b,label\n1,2,a\x00\n3,4,a\n", "label", "classification", True))  # NUL in a label
+    @example(case=('a,b,label\n1,2,"x"\n3,4,x\n', "label", "classification", True))  # one label, quoted once
+    @example(case=("a,b,label\n1,2,x\n\n3,4,y,9,9\n", "label", "classification", True))  # blank line, extra columns
+    @example(case=("a,b,label\r\n1,2,x\r\n\r\n3,4,y,9,9\r\n", "label", "classification", True))  # the same, CRLF
+    @example(case=("a,b,label\n1,2,x\r\r\n3,4,y\n", "label", "classification", True))  # CR CRLF: a blank row
+    @example(case=("a,b,label\n1,2,x\n3,4," + "x" * 131_073 + "\n", "label", "classification", True))  # field limit
+    def test_same_points_or_same_error(self, tmp_path_factory, case):
+        text, label_column, task, has_header = case
+        path = tmp_path_factory.mktemp("csv") / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        spec = DatasetSpec(str(path), label_column, task, has_header)
+        assert _outcome(load_csv, spec) == _outcome(reference_load_csv, spec)
+
+    @pytest.mark.parametrize(
+        "text, label_column, task",
+        [
+            ("﻿f0,label,f1\r\n1.5,b,-2\r\n0.1,a,3e-5\r\n7,b,8\r\n", "label", "classification"),
+            ("0.25,1.5,-2\n-7,0.1,3e-5\n", -3, "regression"),
+        ],
+        ids=["classification", "regression"],
+    )
+    def test_a_clean_file_skips_the_row_loop(self, tmp_path, monkeypatch, text, label_column, task):
+        spec = DatasetSpec(_write(tmp_path, text), label_column, task, has_header=task == "classification")
+        expected = _outcome(reference_load_csv, spec)
+
+        def row_loop(*args):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(datasets, "_parse_rows", row_loop)
+        assert _outcome(load_csv, spec) == expected
+
+    @pytest.mark.parametrize(
+        "text, label_column, task",
+        [
+            ("a,label,b\n1,x,2\n3,y,4\n5,x,6\n", "label", "classification"),
+            ("a,label,b\n1,0.5,2\n3,-1e3,4\n", 1, "regression"),
+            ("a,label,b\n1,x,2\n3,y\n", "label", "classification"),
+            ("a,label,b\n1,x,2\n3,y,oops\n", "label", "classification"),
+            ("a,label,b\n1,0.5,2\n3,many,4\n", "label", "regression"),
+        ],
+        ids=["classification", "regression", "ragged", "non-numeric-feature", "non-numeric-target"],
+    )
+    def test_the_row_loop_called_directly(self, tmp_path, text, label_column, task):
+        # The fallback on its own, whether or not load_csv would reach it.
+        spec = DatasetSpec(_write(tmp_path, text), label_column, task)
+        with open(spec.path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+
+        def row_loop(spec):
+            return points_from_arrays(*datasets._parse_rows(spec, rows, 3, 1))
+
+        assert _outcome(row_loop, spec) == _outcome(reference_load_csv, spec)
+
+    def test_a_decode_error_comes_before_a_label_column_error(self, tmp_path):
+        # As in a full read, a bad byte past the first read block is reported
+        # before an unknown label column.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b,label\n" + b"1,2,x\n" * 4000 + b"\xff,2,x\n")
+        spec = DatasetSpec(str(path), "missing", "classification")
+        assert _outcome(load_csv, spec) == _outcome(reference_load_csv, spec)
+        assert _outcome(load_csv, spec)[0] is UnicodeDecodeError
 
 
 class TestSplit:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridneighbors
 from gridneighbors import (
     GridParams,
     build,
@@ -18,9 +19,11 @@ from gridneighbors import (
     points_from_arrays,
     save_index,
 )
-from gridneighbors.grid import _ARRAY_FIELDS, _max_splits_1d
+from gridneighbors import grid
+from gridneighbors.grid import _ARRAY_FIELDS, _SPLIT_BLOCK, _max_splits_1d
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "index_v1.ghn"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "index_v1.ghn"
 
 
 def _pts(rows):
@@ -29,16 +32,53 @@ def _pts(rows):
 
 
 def _oracle_max_splits(values):
+    """Exhaustive: bin every distinct value for each s from distinct.size down."""
     distinct = np.unique(values)
     if distinct.size == 1:
         return 1, 1.0
     lo, hi = distinct[0], distinct[-1]
     span = hi - lo
     for s in range(distinct.size, 0, -1):
-        bins = np.minimum(np.floor((distinct - lo) * s / span), s - 1)
-        if np.unique(bins).size == s:
+        if _all_bins_occupied(distinct, lo, span, s):
             return s, span / s
     raise AssertionError("s=1 always has full occupancy")
+
+
+def _all_bins_occupied(distinct, lo, span, s, chunk=2048):
+    # The bins of the sorted values rise from 0 to s - 1, so all s are
+    # occupied exactly when no step between neighbours exceeds 1. Checked a
+    # chunk at a time, so that most failing s stop early.
+    prev = 0.0
+    for i in range(0, distinct.size, chunk):
+        bins = np.minimum(np.floor((distinct[i : i + chunk] - lo) * s / span), s - 1)
+        if bins[0] - prev > 1 or np.diff(bins).max(initial=0) > 1:
+            return False
+        prev = bins[-1]
+    return True
+
+
+def _loop_max_splits(values):
+    """The per-s loop the blocked search replaced, kept as a reference."""
+    distinct = np.unique(values)
+    if distinct.size == 1:
+        return 1, 1.0
+    lo = float(distinct[0])
+    span = float(distinct[-1] - distinct[0])
+    gaps = np.diff(distinct)
+    s_hi = min(distinct.size, int(np.ceil(2.0 * span / float(gaps.max()))))
+    gaps_asc = np.sort(gaps)
+    by_size = np.argsort(gaps, kind="stable")[::-1]
+    left = distinct[:-1][by_size]
+    right = distinct[1:][by_size]
+    for s in range(s_hi, 1, -1):
+        cnt = gaps.size - int(np.searchsorted(gaps_asc, span / s, side="right"))
+        if cnt == 0:
+            return s, span / s
+        lb = np.minimum(np.floor((left[:cnt] - lo) * s / span), s - 1)
+        rb = np.minimum(np.floor((right[:cnt] - lo) * s / span), s - 1)
+        if (rb - lb).max() <= 1:
+            return s, span / s
+    return 1, span
 
 
 class TestFitCellMeasurements:
@@ -104,6 +144,57 @@ class TestFitCellMeasurements:
         params = fit_cell_measurements(points_from_arrays(X, [0] * 80))
         spans = X.max(axis=0) - X.min(axis=0)
         assert np.all(params.widths * params.splits >= spans - 1e-9)
+
+
+class TestSplitSearchBlocks:
+    """The blocked split search at sizes where its blocks matter, against the oracle."""
+
+    @staticmethod
+    def _blocks(monkeypatch, values):
+        """_max_splits_1d(values) and the number of blocks it scanned."""
+        calls = []
+        bin_of = grid._bin_of
+
+        def counted(*args):
+            calls.append(1)
+            return bin_of(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(grid, "_bin_of", counted)
+            result = _max_splits_1d(values)
+        return result, len(calls) // 2  # two _bin_of calls a block
+
+    def test_uniform_values_take_many_blocks(self, rng, monkeypatch):
+        v = rng.uniform(0, 100, 50_000)
+        (s, w), blocks = self._blocks(monkeypatch, v)
+        assert blocks > 5  # ~1,200 candidates tried against ~300 gaps
+        assert (s, w) == _oracle_max_splits(v)
+
+    def test_lattice_takes_blocks_of_one_candidate(self, monkeypatch):
+        # Every gap is equal and wider than span / s_hi: more gaps count at
+        # s_hi than a block holds, so a block narrows to one candidate.
+        v = np.arange(-25_000, 25_000, dtype=float)
+        assert v.size - 1 > _SPLIT_BLOCK
+        (s, w), blocks = self._blocks(monkeypatch, v)
+        assert blocks == 1 and (s, w) == _oracle_max_splits(v) == (v.size, (v.size - 1) / v.size)
+
+    def test_two_far_apart_clusters(self, rng):
+        # One gap counts at every candidate, so a block holds them all.
+        for n in (2, 1500):
+            v = np.concatenate([rng.normal(0, 1, n), rng.normal(1e4, 1, n)])
+            assert _max_splits_1d(v) == _oracle_max_splits(v)
+
+    @pytest.mark.parametrize("name", ["clustered", "uniform", "csv_pipeline"])
+    def test_fit_on_benchmark_data_matches_the_loop(self, name, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.workloads import make_workload
+
+        points = make_workload(name, 11, tmp_path).setup(gridneighbors)[1]
+        params = fit_cell_measurements(points)
+        loop = [_loop_max_splits(points.coords[:, j]) for j in range(points.coords.shape[1])]
+        assert params.splits.tolist() == [s for s, _ in loop]
+        assert params.widths.tobytes() == np.array([w for _, w in loop]).tobytes()
+        assert params.origin.tobytes() == points.coords.min(axis=0).tobytes()
 
 
 class TestHashCell:
