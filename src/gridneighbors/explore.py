@@ -6,12 +6,16 @@ occupied layers are scanned: each round of the walk binary-searches the
 sorted cell ids for a slab around the query, computes the layer of the
 cells in it and visits them in increasing layer order. A layer's points
 are read from the index's cell-ordered coordinates (built on the first
-query): a slice for one cell, else one gather. Each layer's candidates
-are offered to core.NeighborBuffer, the top-k buffer the kd-tree also
-fills. Exploration stops either when a full layer produces no
-update (heuristic, may rarely miss; an empty layer produces none) or
-when a geometric lower bound proves no unvisited cell can improve the
-result (guaranteed).
+query): a slice for one cell, else one gather. Once the buffer is full,
+a layer holding more points than cells first tests each cell's bounding
+box (GridIndex.cell_boxes): a cell whose box key exceeds the kth key
+cannot change the buffer and is skipped, the bounds-overlap-ball test of
+Friedman, Bentley & Finkel's kd-tree (ACM TOMS 1977) applied per cell.
+Each layer's candidates are offered to core.NeighborBuffer, the top-k
+buffer the kd-tree also fills. Exploration stops either when a full
+layer produces no update (heuristic, may rarely miss; an empty layer
+produces none) or when a geometric lower bound proves no unvisited cell
+can improve the result (guaranteed).
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ class QueryStats:
 
     layers_visited is the index of the last visited layer (0 = central
     cell only); cells_visited counts distinct non-empty cells examined.
+    points_scanned counts every point held by a visited cell, as the
+    reference layer-by-layer walk did, including the points of cells
+    skipped because their bounding box cannot beat the kth key; it can
+    therefore exceed the number of distances computed.
     """
 
     layers_visited: int
@@ -109,7 +117,10 @@ def knn_query(
     except ValueError as exc:
         raise ValueError(f"query {q}: {exc}") from None
     min_width = float(widths.min())
-    cell_coords = index.cell_coords
+    cell_coords, offsets = index.cell_coords, index.offsets
+    # Unless some cell holds two or more points, no layer holds more points
+    # than cells, and a cell's box is its point: the box test is skipped.
+    fat = index.size > offsets.size - 1
 
     buf = NeighborBuffer(k)
     cells_visited = 0
@@ -126,12 +137,24 @@ def knn_query(
             if stop is not None:
                 last = stop
                 break
-        pos = _positions(index.offsets, cells)
-        block = cell_coords[:, pos] if isinstance(pos, slice) else cell_coords.take(pos, axis=1)
-        keys = ordering_keys(q, block.T, metric)
         cells_visited += int(cells.size)
-        points_scanned += keys.size
-        changed = buf.offer(keys, pos, index.order)
+        count = None  # the layer's points, counted here only for the box test
+        if buf.full and fat:
+            count = int((offsets[cells + 1] - offsets[cells]).sum())
+            if count > cells.size:
+                # A cell whose box key exceeds the kth key holds no point
+                # that could enter the buffer: skip it. The reference walk
+                # counted its points as scanned, and so does this one.
+                cells = cells[_box_keys(index, q, cells) <= buf.keys[-1]]
+        changed = False
+        if cells.size:
+            pos = _positions(offsets, cells)
+            block = cell_coords[:, pos] if isinstance(pos, slice) else cell_coords.take(pos, axis=1)
+            keys = ordering_keys(q, block.T, metric)
+            changed = buf.offer(keys, pos, index.order)
+            if count is None:
+                count = keys.size
+        points_scanned += count
         last = l
         if buf.full:
             if mode == "heuristic" and not changed:
@@ -150,14 +173,16 @@ def _occupied_layers(index: GridIndex, center: np.ndarray, k: int):
     coordinate bounds a round to the slab |c0 - center0| <= r, and r grows
     by a doubling step. The first round starts at the nearest layer the
     cells' bounding box allows and spans a cube that would hold about k
-    points if they filled the box evenly; the last ends at the farthest.
+    points if they filled the box evenly, but at least two layers: the
+    first occupied layer always changes the empty buffer, so a heuristic
+    walk never stops at it. The last round ends at the farthest layer.
     """
     cells = index.cell_array
     c, lo, hi = center.tolist(), index.cell_lo.tolist(), index.cell_hi.tolist()
     near = max(max(a - x, x - b, 0) for x, a, b in zip(c, lo, hi))
     far = max(max(x - a, b - x) for x, a, b in zip(c, lo, hi))
     log_side = math.log(k / index.size) + sum(math.log(b - a + 1) for a, b in zip(lo, hi))
-    done, step = near - 1, max(1, int(math.exp(log_side / len(c)) / 2))
+    done, step = near - 1, max(2, int(math.exp(log_side / len(c)) / 2))
     while done < far:
         r = min(done + step, far)
         a = int(np.searchsorted(cells[:, 0], max(c[0] - r, lo[0]), side="left"))
@@ -186,6 +211,19 @@ def _positions(offsets: np.ndarray, cells: np.ndarray):
     counts = offsets[cells + 1] - starts
     shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return shift + np.arange(shift.size)
+
+
+def _box_keys(index: GridIndex, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Ordering keys of the per-dimension gaps from q to each cell's bounding box.
+
+    A point's gap to q in a dimension is at least the box's, also after
+    rounding, which is monotone; ordering_keys sums both left to right, so
+    no point of a cell has a key below its box key.
+    """
+    lo, hi = index.cell_boxes
+    gaps = np.maximum(lo[cells] - q, q - hi[cells])
+    np.maximum(gaps, 0.0, out=gaps)
+    return ordering_keys(np.zeros_like(q), gaps, index.metric)
 
 
 def _first_bound_past(lo: int, hi: int, min_width: float, metric: str, kth) -> int | None:

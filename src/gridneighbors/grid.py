@@ -159,7 +159,9 @@ class GridIndex:
     cell_points reads a cell's points from them; there is no other view of
     the cells. The query reads cell i's coordinates as the contiguous
     columns offsets[i]:offsets[i + 1] of cell_coords, which its first call
-    builds. coords and labels are the PointSet's read-only arrays.
+    builds, and, once a layer holds more points than cells, each cell's
+    bounding box from cell_boxes. coords and labels are the PointSet's
+    read-only arrays.
     """
 
     params: GridParams
@@ -190,6 +192,22 @@ class GridIndex:
         block = self.coords.T.take(self.order, axis=1)
         block.flags.writeable = False
         return block
+
+    @cached_property
+    def cell_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (C, d) per-cell minimum and maximum of the cells' own coordinates.
+
+        Built from cell_coords on first use and never saved. The query
+        skips a cell whose box lies farther from it than the kth neighbor.
+        """
+        starts = self.offsets[:-1]
+        boxes = tuple(
+            np.ascontiguousarray(ufunc.reduceat(self.cell_coords, starts, axis=1).T)
+            for ufunc in (np.minimum, np.maximum)
+        )
+        for box in boxes:
+            box.flags.writeable = False
+        return boxes
 
 
 def build(data: PointSet, metric: str = "euclidean", params: GridParams | None = None) -> GridIndex:

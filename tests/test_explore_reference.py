@@ -7,7 +7,18 @@ QueryStats, in both modes and for every metric.
 import numpy as np
 import pytest
 
-from gridneighbors import METRICS, STOP_MODES, GridParams, build, knn_query, points_from_arrays
+from gridneighbors import (
+    METRICS,
+    STOP_MODES,
+    GridParams,
+    brute_build,
+    brute_knn,
+    build,
+    explore,
+    knn_query,
+    points_from_arrays,
+)
+from gridneighbors.core import ordering_keys
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
 
@@ -101,3 +112,105 @@ def test_queries_far_outside_the_data(rng, metric):
         X = rng.uniform(-5, 5, (n, d))
         index = build(points_from_arrays(X, rng.integers(0, 3, n)), metric)
         _assert_same(index, _far(rng, X, index.params.widths, 2), _ks(n))
+
+
+# ---------------------------------------------------------------------------
+# Cells skipped by their bounding box: once the buffer is full, a cell whose
+# box key exceeds the kth key is not read, yet the answer and every
+# QueryStats field stay those of the reference walk.
+
+
+def _spy_positions(monkeypatch):
+    """Record the cells of every _positions call: the cells the walk reads."""
+    read = []
+    positions = explore._positions
+
+    def spy(offsets, cells):
+        read.append(cells.tolist())
+        return positions(offsets, cells)
+
+    monkeypatch.setattr(explore, "_positions", spy)
+    return read
+
+
+def _edge_index(x0, lo, metric):
+    # Width-4 cells on a line, the query at 3 in cell 0 = [0, 4). Cell 0
+    # holds x0 (index 1), so the kth key of k = 1 after layer 0 is x0's.
+    # Cell 1 = [4, 8) holds lo (index 0) and 6 (index 2): its box starts
+    # at lo, so its box key is lo's key.
+    X = np.array([[lo], [x0], [6.0]])
+    return build(points_from_arrays(X, [0, 1, 2]), metric, GridParams([4.0], [0.0], [2]))
+
+
+def _box_and_kth_keys(index, q):
+    """Cell 1's box key, and x0's key: the kth key once layer 0 is read."""
+    return explore._box_keys(index, q, np.array([1]))[0], ordering_keys(q, index.coords[1:2], index.metric)[0]
+
+
+@pytest.mark.parametrize("mode", STOP_MODES)
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_box_key_equal_to_the_kth_key_is_read(monkeypatch, metric, mode):
+    # lo ties x0 at 1.5 from the query and has the lower index, so it must
+    # displace x0: a cell whose box key equals the kth key is read.
+    q = np.array([3.0])
+    index = _edge_index(1.5, 4.5, metric)
+    box, kth = _box_and_kth_keys(index, q)
+    assert box == kth
+    read = _spy_positions(monkeypatch)
+    got, stats = knn_query(index, q, 1, mode)
+    assert read == [[0], [1]]
+    assert [(n.distance, n.point_index) for n in got] == [(1.5, 0)]
+    assert _answer(got, stats) == _answer(*reference_knn_query(BucketIndex(index), q, 1, mode))
+
+
+@pytest.mark.parametrize("mode", STOP_MODES)
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_box_key_one_ulp_above_the_kth_key_is_skipped(monkeypatch, metric, mode):
+    # x0 three ulps short of 1.5 and lo one ulp past 4.5 put the box key
+    # exactly one ulp above the kth key in all three metrics.
+    q = np.array([3.0])
+    index = _edge_index(1.5 - 3 * 2.0**-52, np.nextafter(4.5, np.inf), metric)
+    box, kth = _box_and_kth_keys(index, q)
+    assert box == np.nextafter(kth, np.inf)
+    read = _spy_positions(monkeypatch)
+    got, stats = knn_query(index, q, 1, mode)
+    assert read == [[0]]
+    assert [n.point_index for n in got] == [1]
+    assert stats.points_scanned == 3  # the skipped cell's points still count
+    assert _answer(got, stats) == _answer(*reference_knn_query(BucketIndex(index), q, 1, mode))
+    brute = brute_knn(brute_build(points_from_arrays(index.coords, [0, 1, 2]), metric), q, 1)
+    assert [(n.distance, n.point_index) for n in got] == [(n.distance, n.point_index) for n in brute]
+
+
+def _fat_cells(rng, d):
+    """Four Gaussian clusters of 600 points, plus 8 outliers 300 away."""
+    centers = rng.uniform(0, 30, (4, d))
+    X = centers[rng.integers(0, 4, 2400)] + rng.normal(0, 1.5, (2400, d))
+    outliers = rng.uniform(-1, 1, (8, d))
+    outliers *= 300 / np.abs(outliers).max(axis=1, keepdims=True)
+    return np.concatenate([X, outliers + 15])
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [3, 4])
+def test_fat_cells_with_outliers(monkeypatch, rng, metric, d):
+    # The fitted grid puts the clusters in one cell; width-5 cells give
+    # dozens of cells of up to a few hundred points each.
+    X = _fat_cells(rng, d)
+    n = X.shape[0]
+    for params in (None, GridParams(np.full(d, 5.0), X.min(axis=0), np.ones(d, dtype=np.int64))):
+        index = build(points_from_arrays(X, rng.integers(0, 3, n)), metric, params=params)
+        assert np.diff(index.offsets).max() >= 100
+        queries = [X[i] + rng.normal(0, 0.5, d) for i in rng.integers(0, n - 8, 5)]
+        queries += [rng.uniform(0, 30, d), X[-1] + 1.0, *_far(rng, X, index.params.widths, 1)]
+        read = _spy_positions(monkeypatch)
+        _assert_same(index, queries, [1, 5, 25])
+        monkeypatch.undo()
+        scanned = sum(
+            knn_query(index, q, k, mode)[1].points_scanned
+            for q in queries
+            for k in (1, 5, 25)
+            for mode in STOP_MODES
+        )
+        sizes = np.diff(index.offsets)
+        assert sum(int(sizes[cells].sum()) for cells in read) < scanned  # cells were skipped

@@ -341,6 +341,45 @@ class TestCellCoords:
         assert np.array_equal(loaded.cell_coords, built.cell_coords)
 
 
+class TestCellBoxes:
+    def test_exact_per_cell_min_and_max(self, rng):
+        X = np.concatenate([rng.normal(0, 2, (300, 3)), [[40.0, -40.0, 0.5]]])
+        index = build(points_from_arrays(X, [0] * 301), params=GridParams([1.5] * 3, [0.0] * 3, [1] * 3))
+        lo, hi = index.cell_boxes
+        assert lo.shape == hi.shape == index.cell_array.shape
+        for i, cell in enumerate(index.cell_array):
+            pts = X[cell_points(index, cell)]
+            assert lo[i].tolist() == pts.min(axis=0).tolist()
+            assert hi[i].tolist() == pts.max(axis=0).tolist()
+        assert index.cell_boxes[0] is lo  # built once
+        for box in (lo, hi):
+            assert not box.flags.writeable
+            with pytest.raises(ValueError):
+                box[0, 0] = 1.0
+
+    def test_not_saved_and_rebuilt_the_same_after_load(self, rng, tmp_path):
+        X = rng.normal(0, 2, (400, 2))
+        index = build(points_from_arrays(X, rng.integers(0, 3, 400)))
+        save_index(index, tmp_path / "a.ghn")
+        boxes = index.cell_boxes
+        save_index(index, tmp_path / "b.ghn")
+        loaded = load_index(tmp_path / "b.ghn")
+        assert "cell_boxes" not in vars(loaded)
+        for q in X[:10] + 0.01:
+            knn_query(loaded, q, 5)
+        save_index(loaded, tmp_path / "c.ghn")
+        assert (tmp_path / "a.ghn").read_bytes() == (tmp_path / "b.ghn").read_bytes() == (tmp_path / "c.ghn").read_bytes()
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.cell_boxes, boxes))
+
+    def test_not_built_when_every_cell_holds_one_point(self):
+        X = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1).reshape(-1, 2)
+        index = build(points_from_arrays(X, [0] * 64), params=GridParams([1.0, 1.0], [0.0, 0.0], [8, 8]))
+        for q in X[::5] + 0.3:
+            for mode in ("heuristic", "guaranteed"):
+                knn_query(index, q, 4, mode)
+        assert "cell_boxes" not in vars(index)
+
+
 def _golden_data():
     rng = np.random.default_rng(2020)
     X = np.round(rng.normal(0, 2, (40, 2)), 3)
