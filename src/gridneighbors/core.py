@@ -23,17 +23,23 @@ METRICS = ("euclidean", "manhattan", "chebyshev")
 LABEL_KINDS = "biufU"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledPoint:
     """Row i of a PointSet: its read-only coords row, label and index i.
 
     The index is the point's position in the training set and is used for
     deterministic tie-breaking whenever two candidates are equidistant.
+    Two rows are equal when their indices, labels and coords are equal.
     """
 
     coords: np.ndarray
     label: object
     index: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledPoint):
+            return NotImplemented
+        return (self.index, self.label) == (other.index, other.label) and np.array_equal(self.coords, other.coords)
 
 
 class PointSet(Sequence):
@@ -65,9 +71,7 @@ class PointSet(Sequence):
             raise ValueError("coords have no feature columns")
         if len(self.labels) != self.coords.shape[0]:
             raise ValueError("labels length must match the number of rows")
-        bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=1))
-        if bad.size:
-            raise ValueError(f"point {bad[0]}: non-finite coordinate")
+        _check_finite(self.coords)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -75,6 +79,17 @@ class PointSet(Sequence):
     def __getitem__(self, i) -> LabeledPoint:
         i = range(len(self))[i]  # wraps a negative index, raises IndexError past the end
         return LabeledPoint(self.coords[i], self.labels[i].item(), i)
+
+
+def _check_finite(coords: np.ndarray) -> None:
+    """Raise ValueError naming the first row of coords with a non-finite entry.
+
+    One whole-array test; the rows are searched only when it fails.
+    PointSet and load_index both hold coordinates to this rule.
+    """
+    if not np.isfinite(coords).all():
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))[0]
+        raise ValueError(f"point {bad}: non-finite coordinate")
 
 
 def points_from_arrays(coords, labels) -> PointSet:

@@ -19,10 +19,11 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
-from .core import LABEL_KINDS, METRICS, PointSet, _check_metric
+from .core import LABEL_KINDS, METRICS, PointSet, _check_finite, _check_metric
 
 CellId = tuple[int, ...]
 
@@ -142,9 +143,14 @@ def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
     query's layer arithmetic takes.
     """
     ids = np.floor(x / widths)
-    if not np.all(np.abs(ids) < 2.0**62):
+    if not _within_cell_bound(ids):
         raise ValueError("coordinates too far from the origin: a cell id leaves +-2**62")
     return ids.astype(np.int64)
+
+
+def _within_cell_bound(ids: np.ndarray) -> bool:
+    """Whether every cell id is strictly inside +-2**62, by min and max: np.abs(-2**63) < 0."""
+    return bool(ids.min() > -(2**62) and ids.max() < 2**62)
 
 
 @dataclass(eq=False)
@@ -252,65 +258,52 @@ def cell_points(index: GridIndex, cell) -> list[int]:
 # Serialization: versioned binary dump that round-trips byte-identically.
 
 _MAGIC = b"GHNIDX\x01\n"
-_ARRAY_FIELDS = ("widths", "origin", "splits", "coords", "labels", "cell_ids", "offsets", "order")
-# dtype kinds each array may have, checked before any is read; labels as in PointSet.
-_KINDS = {
-    "widths": "f",
-    "origin": "f",
-    "splits": "i",
-    "coords": "f",
-    "labels": LABEL_KINDS,
-    "cell_ids": "i",
-    "offsets": "i",
-    "order": "i",
-}
+
+#: The file's arrays in file order: name, the GridIndex attribute save_index
+#: writes, the dtype kinds it may have (labels as in PointSet), and its shape
+#: for n points in d dimensions and c cells.
+_LAYOUT = (
+    ("widths", attrgetter("params.widths"), "f", lambda n, d, c: (d,)),
+    ("origin", attrgetter("params.origin"), "f", lambda n, d, c: (d,)),
+    ("splits", attrgetter("params.splits"), "i", lambda n, d, c: (d,)),
+    ("coords", attrgetter("coords"), "f", lambda n, d, c: (n, d)),
+    ("labels", attrgetter("labels"), LABEL_KINDS, lambda n, d, c: (n,)),
+    ("cell_ids", attrgetter("cell_array"), "i", lambda n, d, c: (c, d)),
+    ("offsets", attrgetter("offsets"), "i", lambda n, d, c: (c + 1,)),
+    ("order", attrgetter("order"), "i", lambda n, d, c: (n,)),
+)
 
 
 def save_index(index: GridIndex, path) -> None:
     """Write the index to a deterministic binary file.
 
     Layout: magic, length-prefixed JSON header (metric plus array dtypes
-    and shapes), then the raw bytes of each array in a fixed order. The
-    offsets and order arrays are the index's CSR arrays, written as is.
+    and shapes), then the raw bytes of each array of _LAYOUT in its order.
+    The offsets and order arrays are the index's CSR arrays, written as is.
     save -> load -> save reproduces the file byte for byte.
     """
-    arrays = {
-        "widths": index.params.widths,
-        "origin": index.params.origin,
-        "splits": index.params.splits,
-        "coords": index.coords,
-        "labels": index.labels,
-        "cell_ids": index.cell_array,
-        "offsets": index.offsets,
-        "order": index.order,
-    }
-    header = {
-        "version": 1,
-        "metric": index.metric,
-        "arrays": {
-            name: {"dtype": arrays[name].dtype.str, "shape": list(arrays[name].shape)}
-            for name in _ARRAY_FIELDS
-        },
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
+    arrays = {name: np.ascontiguousarray(source(index)) for name, source, _kinds, _shape in _LAYOUT}
+    meta = {name: {"dtype": a.dtype.str, "shape": list(a.shape)} for name, a in arrays.items()}
+    blob = json.dumps({"version": 1, "metric": index.metric, "arrays": meta}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in _ARRAY_FIELDS:
-            fh.write(np.ascontiguousarray(arrays[name]).tobytes())
+        for a in arrays.values():
+            fh.write(a)  # through the buffer protocol: the bytes are not copied
 
 
 def load_index(path) -> GridIndex:
     """Read an index written by save_index.
 
-    The file is checked before it is used: every array must be complete,
-    of its dtype kind and shaped as the header and the other arrays say,
-    offsets must rise strictly from 0 to n, order must be a permutation of
-    0..n-1 and cell ids must be strictly increasing. Any change to the
-    order region breaks the permutation; a change to the offsets region is
-    caught when it breaks the strict rise. Coordinates and labels are not
-    checksummed; they come back read-only.
+    The header must give version 1, a known metric and each array's dtype
+    kind and shape, and the file's size must match it before any array is
+    read. Then every array must be shaped as the others say, offsets must
+    rise strictly from 0 to n, order must be a permutation of 0..n-1, cell
+    ids must rise strictly inside +-2**62, coordinates must be finite and
+    widths positive and finite. A change to the order region breaks the
+    permutation; one to offsets is caught when it breaks the strict rise.
+    Coordinates and labels are not checksummed; they come back read-only.
     Raises ValueError naming the path for a truncated or corrupt file.
     """
     with open(path, "rb") as fh:
@@ -325,24 +318,22 @@ def load_index(path) -> GridIndex:
             if header.get("version") != 1:
                 raise ValueError("unsupported index version")
             metric = header["metric"]
-            layout = [
-                (name, np.dtype(header["arrays"][name]["dtype"]), tuple(header["arrays"][name]["shape"]))
-                for name in _ARRAY_FIELDS
-            ]
+            entries = [(name, kinds, header["arrays"][name]) for name, _source, kinds, _shape in _LAYOUT]
+            layout = [(name, kinds, np.dtype(e["dtype"]), tuple(e["shape"])) for name, kinds, e in entries]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad header: {exc}") from None
-        for name, dtype, shape in layout:
-            if dtype.kind not in _KINDS[name]:
-                raise ValueError(f"{path}: {name} has dtype {dtype}, expected a kind in {_KINDS[name]!r}")
+        for name, kinds, dtype, shape in layout:
+            if dtype.kind not in kinds:
+                raise ValueError(f"{path}: {name} has dtype {dtype}, expected a kind in {kinds!r}")
             if not all(type(v) is int and v >= 0 for v in shape):
                 raise ValueError(f"{path}: corrupt header entry for {name}")
         if metric not in METRICS:
             raise ValueError(f"{path}: unknown metric {metric!r}")
-        sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in layout]
+        sizes = [dtype.itemsize * math.prod(shape) for _, _, dtype, shape in layout]
         if os.fstat(fh.fileno()).st_size != fh.tell() + sum(sizes):
             raise ValueError(f"{path}: file size does not match its header (truncated?)")
         arrays = {}
-        for name, dtype, shape in layout:
+        for name, _, dtype, shape in layout:
             arrays[name] = np.empty(shape, dtype=dtype)
             if fh.readinto(arrays[name]) != arrays[name].nbytes:
                 raise ValueError(f"{path}: truncated in the {name} array")
@@ -350,12 +341,11 @@ def load_index(path) -> GridIndex:
         arrays[name].flags.writeable = False
     offsets, order = _check_arrays(path, arrays)
     try:
+        _check_finite(arrays["coords"])
         params = GridParams(arrays["widths"], arrays["origin"], arrays["splits"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return GridIndex(
-        params, arrays["coords"], arrays["labels"], metric, arrays["cell_ids"], order, offsets
-    )
+    return GridIndex(params, arrays["coords"], arrays["labels"], metric, arrays["cell_ids"], order, offsets)
 
 
 def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -367,19 +357,9 @@ def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     if coords.ndim != 2 or cells.ndim != 2 or coords.size == 0:
         raise ValueError(f"{path}: coords and cell_ids must be non-empty matrices")
     (n, d), c = coords.shape, cells.shape[0]
-    expected = {
-        "widths": (d,),
-        "origin": (d,),
-        "splits": (d,),
-        "coords": (n, d),
-        "labels": (n,),
-        "cell_ids": (c, d),
-        "offsets": (c + 1,),
-        "order": (n,),
-    }
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+    for name, _source, _kinds, shape_of in _LAYOUT:
+        if arrays[name].shape != shape_of(n, d, c):
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape_of(n, d, c)}")
     offsets = arrays["offsets"].astype(np.int64, copy=False)
     if offsets[0] != 0 or offsets[-1] != n or np.any(offsets[1:] <= offsets[:-1]):
         raise ValueError(f"{path}: offsets do not rise strictly from 0 to {n}")
@@ -392,4 +372,6 @@ def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(c - 1)
     if not differ.any(axis=1).all() or np.any(nxt[rows, first] < prev[rows, first]):
         raise ValueError(f"{path}: cell ids are not strictly increasing")
+    if not _within_cell_bound(cells):
+        raise ValueError(f"{path}: a cell id leaves +-2**62")
     return offsets, order

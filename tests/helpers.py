@@ -5,7 +5,14 @@ cannot pick up another directory's conftest when several test trees are
 collected in one run.
 """
 
+import json
+import math
+import struct
+
+import numpy as np
+
 from gridneighbors import points_from_arrays
+from gridneighbors.grid import _LAYOUT, _MAGIC
 
 
 def clustered(rng, n, d, n_clusters=None, spread=None):
@@ -26,3 +33,45 @@ def uniform(rng, n, d):
 
 def as_pairs(neighbors):
     return [(n.distance, n.point_index) for n in neighbors]
+
+
+def _header(data: bytes) -> tuple[dict, int]:
+    """The JSON header of an index file and the offset of its first array."""
+    start = len(_MAGIC) + 4
+    (blob_len,) = struct.unpack("<I", data[len(_MAGIC) : start])
+    return json.loads(data[start : start + blob_len]), start + blob_len
+
+
+def regions(data: bytes) -> dict:
+    """Byte range of each array in an index file, in file order, from its header."""
+    header, pos = _header(data)
+    out = {}
+    for name, _source, _kinds, _shape in _LAYOUT:
+        meta = header["arrays"][name]
+        size = np.dtype(meta["dtype"]).itemsize * math.prod(meta["shape"])
+        out[name] = (pos, pos + size)
+        pos += size
+    return out
+
+
+def rewrite_index(data: bytes, edit=None, **arrays) -> bytes:
+    """The index file data with the named arrays replaced, then its header edited.
+
+    Each replacement array's bytes take the place of that array's region
+    and its dtype and shape go into the header; edit(header), when given,
+    then changes the header in place. The arrays keep their file order.
+    """
+    header, _ = _header(data)
+    body = []
+    for name, (start, end) in regions(data).items():
+        if name in arrays:
+            a = np.asarray(arrays.pop(name))
+            header["arrays"][name] = {"dtype": a.dtype.str, "shape": list(a.shape)}
+            body.append(a.tobytes())
+        else:
+            body.append(data[start:end])
+    assert not arrays, f"not arrays of an index file: {sorted(arrays)}"
+    if edit is not None:
+        edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    return _MAGIC + struct.pack("<I", len(blob)) + blob + b"".join(body)

@@ -1,5 +1,5 @@
 import json
-import struct
+import math
 import warnings
 from pathlib import Path
 
@@ -20,7 +20,8 @@ from gridneighbors import (
     save_index,
 )
 from gridneighbors import grid
-from gridneighbors.grid import _ARRAY_FIELDS, _SPLIT_BLOCK, _max_splits_1d
+from gridneighbors.grid import _MAGIC, _SPLIT_BLOCK, _max_splits_1d
+from helpers import regions, rewrite_index
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "index_v1.ghn"
@@ -297,14 +298,13 @@ class TestSerialization:
     def test_label_dtype_outside_the_point_set_rule_rejected(self, rng, tmp_path):
         index = build(points_from_arrays(rng.normal(0, 2, (30, 2)), rng.integers(0, 3, 30)))
         save_index(index, tmp_path / "idx.ghn")
-        data = (tmp_path / "idx.ghn").read_bytes()
-        (blob_len,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12 : 12 + blob_len])
-        assert header["arrays"]["labels"]["dtype"] == "<i8"
-        header["arrays"]["labels"]["dtype"] = "<M8[s]"  # same item size: only the kind is wrong
-        blob = json.dumps(header, sort_keys=True).encode()
+
+        def edit(header):
+            assert header["arrays"]["labels"]["dtype"] == "<i8"
+            header["arrays"]["labels"]["dtype"] = "<M8[s]"  # same item size: only the kind is wrong
+
         path = tmp_path / "dated.ghn"
-        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+        path.write_bytes(rewrite_index((tmp_path / "idx.ghn").read_bytes(), edit))
         with pytest.raises(ValueError, match="dated.ghn: labels has dtype"):
             load_index(path)
 
@@ -386,19 +386,6 @@ def _golden_data():
     return X, rng.integers(0, 3, 40)
 
 
-def _regions(data: bytes) -> dict:
-    """Byte range of each array in an index file, from its header."""
-    (blob_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + blob_len])
-    pos, out = 12 + blob_len, {}
-    for name in _ARRAY_FIELDS:
-        meta = header["arrays"][name]
-        size = np.dtype(meta["dtype"]).itemsize * int(np.prod(meta["shape"]))
-        out[name] = (pos, pos + size)
-        pos += size
-    return out
-
-
 class TestIndexFileChecks:
     def test_golden_file_loads_and_rebuilds_byte_identically(self, tmp_path):
         # tests/data/index_v1.ghn was written by the bucket-list layout
@@ -442,7 +429,7 @@ class TestIndexFileChecks:
         good = tmp_path / "good.ghn"
         save_index(index, good)
         data = good.read_bytes()
-        start, end = _regions(data)[region]
+        start, end = regions(data)[region]
         path = tmp_path / "flipped.ghn"
         for pos in range(start, end):
             path.write_bytes(data[:pos] + bytes([data[pos] ^ 0xFF]) + data[pos + 1 :])
@@ -450,14 +437,151 @@ class TestIndexFileChecks:
                 load_index(path)
 
     def test_unsorted_cell_ids_rejected(self, tmp_path):
-        data = bytearray(GOLDEN.read_bytes())
-        start, end = _regions(bytes(data))["cell_ids"]
-        cells = np.frombuffer(bytes(data[start:end]), dtype="<i8").reshape(-1, 2)
-        data[start:end] = cells[::-1].tobytes()
         path = tmp_path / "unsorted.ghn"
-        path.write_bytes(bytes(data))
+        path.write_bytes(rewrite_index(GOLDEN.read_bytes(), cell_ids=load_index(GOLDEN).cell_array[::-1]))
         with pytest.raises(ValueError, match="cell ids"):
             load_index(path)
+
+
+#: The file's arrays, in file order.
+NAMES = tuple(regions(GOLDEN.read_bytes()))
+
+
+class TestLoadRejections:
+    """Every check of load_index, each on a file that breaks only that check.
+
+    The files are the golden index (40 points, 2-d, every array of 8-byte
+    items) with its header or some of its arrays rewritten.
+    """
+
+    @staticmethod
+    def _rejected(tmp_path, data, match):
+        path = tmp_path / "bad.ghn"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=r"bad\.ghn: " + match):
+            load_index(path)
+
+    def test_golden_file_is_the_file_described(self):
+        loaded = load_index(GOLDEN)
+        assert loaded.coords.shape == (40, 2) and loaded.labels.dtype == np.int64
+        assert 1 < loaded.cell_array.shape[0] < 40
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_dtype_kind_rejected(self, tmp_path, name):
+        def edit(header):
+            saved = header["arrays"][name]["dtype"]
+            # Same item size, so only the kind is wrong; labels may be ints or floats.
+            header["arrays"][name]["dtype"] = "<m8[s]" if name == "labels" else {"<f8": "<i8", "<i8": "<f8"}[saved]
+
+        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"{name} has dtype")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_shape_rejected(self, tmp_path, name):
+        # name grows by one along its last axis and a donor shrinks by as many
+        # elements, so the file size still matches the header. coords sets n
+        # and d, so a wider coords is reported as the widths that no longer
+        # match it; a longer order takes its element from labels, checked first.
+        donor = "labels" if name == "order" else "order"
+        reported = {"coords": "widths", "order": "labels"}.get(name, name)
+
+        def edit(header):
+            shapes = {key: meta["shape"] for key, meta in header["arrays"].items()}
+            shapes[donor][-1] -= math.prod(shapes[name][:-1])
+            shapes[name][-1] += 1
+
+        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"{reported} has shape")
+
+    @pytest.mark.parametrize("entry", [-1, 2.5, "2"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bad_shape_entry_rejected(self, tmp_path, name, entry):
+        def edit(header):
+            header["arrays"][name]["shape"][0] = entry
+
+        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"corrupt header entry for {name}")
+
+    def test_huge_shape_rejected_by_the_file_size(self, tmp_path):
+        def edit(header):
+            header["arrays"]["coords"]["shape"] = [2**40, 2**20]
+
+        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), "file size does not match")
+
+    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_other_version_rejected(self, tmp_path, version):
+        def edit(header):
+            header["version"] = version
+
+        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), "bad header: unsupported index version")
+
+    def test_unknown_metric_rejected(self, tmp_path):
+        def edit(header):
+            header["metric"] = "cosine"
+
+        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), "unknown metric 'cosine'")
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_width_rejected(self, tmp_path, width):
+        widths = load_index(GOLDEN).params.widths.copy()
+        widths[1] = width
+        data = rewrite_index(GOLDEN.read_bytes(), widths=widths)
+        self._rejected(tmp_path, data, "all cell widths must be positive and finite")
+
+    @pytest.mark.parametrize("coords", [np.empty((0, 2)), np.zeros(80), np.zeros((40, 2, 1))], ids=["empty", "1-d", "3-d"])
+    def test_coords_not_a_non_empty_matrix_rejected(self, tmp_path, coords):
+        data = rewrite_index(GOLDEN.read_bytes(), coords=coords)
+        self._rejected(tmp_path, data, "coords and cell_ids must be non-empty matrices")
+
+    def test_empty_cell_ids_rejected(self, tmp_path):
+        data = rewrite_index(GOLDEN.read_bytes(), cell_ids=np.empty((0, 2), np.int64), offsets=np.zeros(1, np.int64))
+        self._rejected(tmp_path, data, "offsets do not rise strictly from 0 to 40")
+
+    @pytest.mark.parametrize("cut", range(len(_MAGIC), len(_MAGIC) + 4))
+    def test_cut_inside_the_header_length_rejected(self, tmp_path, cut):
+        self._rejected(tmp_path, GOLDEN.read_bytes()[:cut], "truncated header")
+
+    @pytest.mark.parametrize("row", [0, 17, 39])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, tmp_path, row, value):
+        coords = load_index(GOLDEN).coords.copy()
+        coords[row, 1] = value
+        data = rewrite_index(GOLDEN.read_bytes(), coords=coords)
+        self._rejected(tmp_path, data, f"point {row}: non-finite coordinate")
+
+    @staticmethod
+    def _line_index(first, last):
+        """A 4-point 1-d index file with cells 0..3, its first and last ids replaced."""
+        X = np.arange(4.0).reshape(-1, 1) + 0.2
+        index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [0.0], [4]))
+        cells = index.cell_array.copy()
+        cells[0, 0], cells[-1, 0] = first, last
+        return index, cells
+
+    @pytest.mark.parametrize(
+        "first, last", [(-(2**63), 3), (0, 2**63 - 1), (-(2**62), 3), (0, 2**62)], ids=["min", "max", "-bound", "+bound"]
+    )
+    def test_cell_id_outside_the_build_bound_rejected(self, tmp_path, first, last):
+        # np.abs(-2**63) is negative: the bound holds for the minimum and the maximum.
+        index, cells = self._line_index(first, last)
+        save_index(index, tmp_path / "good.ghn")
+        data = rewrite_index((tmp_path / "good.ghn").read_bytes(), cell_ids=cells)
+        self._rejected(tmp_path, data, r"a cell id leaves \+-2\*\*62")
+
+    def test_cell_ids_just_inside_the_bound_load(self, tmp_path):
+        index, cells = self._line_index(-(2**62) + 1, 2**62 - 1)
+        save_index(index, tmp_path / "good.ghn")
+        path = tmp_path / "edge.ghn"
+        path.write_bytes(rewrite_index((tmp_path / "good.ghn").read_bytes(), cell_ids=cells))
+        assert load_index(path).cell_array.tolist() == cells.tolist()
+
+
+class TestParamChecks:
+    @pytest.mark.parametrize("width", [0.0, -2.0, np.inf, -np.inf, np.nan])
+    def test_width_not_positive_and_finite_rejected(self, width):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GridParams([1.0, width], [0.0, 0.0], [1, 1])
+
+    def test_build_with_params_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="params dimension does not match the data"):
+            build(_pts([[1.0, 2.0], [3.0, 4.0]]), params=GridParams([1.0], [0.0], [1]))
 
 
 class TestCellIdBounds:

@@ -43,6 +43,24 @@ class TestPointSet:
         with pytest.raises(IndexError):
             pts[10]
 
+    def test_membership_index_and_count(self):
+        # Rows 1 and 2 have equal coords and labels; only the index tells them apart.
+        pts = points_from_arrays([[0.0, 1.0], [2.0, 3.0], [2.0, 3.0]], ["a", "b", "b"])
+        assert pts[0] in pts and pts[2] in pts
+        assert [pts.index(p) for p in pts] == [0, 1, 2]
+        assert [pts.count(p) for p in pts] == [1, 1, 1]
+        assert pts[1] == LabeledPoint(np.array([2.0, 3.0]), "b", 1) and pts[1] != pts[2]
+        others = [
+            LabeledPoint(np.array([2.0, 3.5]), "b", 1),
+            LabeledPoint(np.array([2.0, 3.0]), "c", 1),
+            LabeledPoint(np.array([2.0]), "b", 1),
+            (np.array([2.0, 3.0]), "b", 1),
+        ]
+        for other in others:
+            assert other not in pts and pts.count(other) == 0
+            with pytest.raises(ValueError):
+                pts.index(other)
+
     @pytest.mark.parametrize(
         "labels", [[3, 1, 2, 3], [0.5, 1.5, 2.5, 0.5], ["a", "bc", "a", "d"]], ids=["int", "float", "str"]
     )
