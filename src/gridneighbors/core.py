@@ -9,6 +9,7 @@ their neighbors.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,10 +56,7 @@ class PointSet(Sequence):
         self.coords.flags.writeable = False
         self.labels = np.array(labels)
         self.labels.flags.writeable = False
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a 1-D sequence")
-        if self.labels.dtype.kind not in LABEL_KINDS:
-            raise ValueError(f"labels must be numbers or strings, got dtype {self.labels.dtype}")
+        _check_labels(self.labels)
         # numpy turns numbers among strings into strings without a word.
         if self.labels.dtype.kind == "U" and not isinstance(labels, np.ndarray):
             if not all(isinstance(v, str) for v in labels):
@@ -90,6 +88,20 @@ def _check_finite(coords: np.ndarray) -> None:
     if not np.isfinite(coords).all():
         bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))[0]
         raise ValueError(f"point {bad}: non-finite coordinate")
+
+
+def _check_labels(labels: np.ndarray) -> None:
+    """Raise ValueError unless labels is 1-D, of a LABEL_KINDS dtype and free of NaN.
+
+    A vote counts each NaN as a class of its own. PointSet and load_index
+    both hold labels to this rule.
+    """
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-D sequence")
+    if labels.dtype.kind not in LABEL_KINDS:
+        raise ValueError(f"labels must be numbers or strings, got dtype {labels.dtype}")
+    if labels.dtype.kind == "f" and np.isnan(labels).any():
+        raise ValueError(f"point {np.flatnonzero(np.isnan(labels))[0]}: NaN label")
 
 
 def points_from_arrays(coords, labels) -> PointSet:
@@ -127,16 +139,20 @@ def ordering_keys(q: np.ndarray, pts: np.ndarray, metric: str) -> np.ndarray:
     and a lone row, which is the fast axis, is summed by accumulate.
     """
     _check_metric(metric)
-    diff = np.subtract(pts, q, order="F")
+    return gap_keys(np.subtract(pts, q, order="F"), metric)
+
+
+def gap_keys(gaps: np.ndarray, metric: str) -> np.ndarray:
+    """Row keys of a column-major (m, d) matrix of per-dimension gaps, which it overwrites."""
     if metric == "euclidean":
-        diff *= diff
+        gaps *= gaps
     else:
-        np.abs(diff, out=diff)
+        np.abs(gaps, out=gaps)
     if metric == "chebyshev":
-        return diff.max(axis=1)
-    if diff.shape[0] == 1:
-        return np.add.accumulate(diff[0])[-1:]
-    return diff.sum(axis=1)
+        return np.maximum.reduce(gaps, axis=1)
+    if gaps.shape[0] == 1:
+        return np.add.accumulate(gaps[0])[-1:]
+    return np.add.reduce(gaps, axis=1)
 
 
 def keys_to_distances(keys: np.ndarray, metric: str) -> np.ndarray:
@@ -166,7 +182,7 @@ def check_query(q, dim: int, k: int, n: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (dim,):
         raise ValueError(f"dimension mismatch: query {q.shape}, index {dim}")
-    if not np.all(np.isfinite(q)):
+    if not all(map(math.isfinite, q.tolist())):
         raise ValueError(f"query has a non-finite coordinate: {q}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
@@ -214,42 +230,34 @@ class NeighborBuffer:
 
         The candidates' indices are idx, or lookup[idx] when lookup is
         given; idx may then be a slice. Only the candidates that can enter
-        a full buffer are mapped through lookup. The True/False outcome is
+        the buffer are mapped through lookup. The True/False outcome is
         the "update" signal of the heuristic stopping rule.
         """
+        if isinstance(idx, slice):
+            idx, lookup = lookup[idx], None  # a view: nothing is mapped yet
+        k = self.capacity
         if self.full:
             keep = keys <= self.keys[-1]  # a worse key cannot displace the kth entry
             if not keep.any():
                 return False
-            keys = keys[keep]
-            if isinstance(idx, slice):
-                idx, lookup = lookup[idx][keep], None  # lookup[idx] is a view
-            else:
-                idx = idx[keep]
+            keys, idx = keys[keep], idx[keep]
+        if keys.size > k:
+            # Nor can a key worse than k of the new ones. Every tie of their
+            # kth key survives, so the lexsort still breaks ties toward the
+            # lower index.
+            keep = keys <= np.partition(keys, k - 1)[k - 1]
+            keys, idx = keys[keep], idx[keep]
         if lookup is not None:
             idx = lookup[idx]
-        all_keys = np.concatenate([self.keys, keys])
-        all_idx = np.concatenate([self.idx, idx])
-        k = self.capacity
-        if all_keys.size > k:
-            # Every tie of the kth key survives, so the lexsort still breaks
-            # ties toward the lower index.
-            keep = all_keys <= np.partition(all_keys, k - 1)[k - 1]
-            all_keys, all_idx = all_keys[keep], all_idx[keep]
-        top = np.lexsort((all_idx, all_keys))[:k]
-        new_idx = all_idx[top]
-        changed = new_idx.size != self.idx.size or not np.array_equal(new_idx, self.idx)
-        self.keys, self.idx = all_keys[top], new_idx
+        if self.idx.size:
+            keys = np.concatenate([self.keys, keys])
+            idx = np.concatenate([self.idx, idx])
+        top = np.lexsort((idx, keys))[:k]
+        new_idx = idx[top]
+        changed = new_idx.size != self.idx.size or bool((new_idx != self.idx).any())
+        self.keys, self.idx = keys[top], new_idx
         self.full = new_idx.size == k
         return changed
-
-    def push(self, cand: Neighbor) -> bool:
-        """Offer one candidate, its distance as the key; True iff the contents changed."""
-        return self.offer(np.array([cand.distance]), np.array([cand.point_index]))
-
-    def neighbors(self) -> list[Neighbor]:
-        """Retained entries, (key, index) ascending, as unlabelled Neighbors."""
-        return [Neighbor(d, i) for d, i in zip(self.keys.tolist(), self.idx.tolist())]
 
     def labelled(self, metric: str, labels: np.ndarray) -> list[Neighbor]:
         """Retained entries with their keys as metric distances and labels[index]."""

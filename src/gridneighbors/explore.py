@@ -2,20 +2,26 @@
 
 Starting from the query's central cell, cells are visited layer by layer
 (layer l = all cells at Chebyshev distance l in cell-id space). Only
-occupied layers are scanned: each round of the walk binary-searches the
-sorted cell ids for a slab around the query, computes the layer of the
-cells in it and visits them in increasing layer order. A layer's points
-are read from the index's cell-ordered coordinates (built on the first
-query): a slice for one cell, else one gather. Once the buffer is full,
-a layer holding more points than cells first tests each cell's bounding
-box (GridIndex.cell_boxes): a cell whose box key exceeds the kth key
-cannot change the buffer and is skipped, the bounds-overlap-ball test of
-Friedman, Bentley & Finkel's kd-tree (ACM TOMS 1977) applied per cell.
-Each layer's candidates are offered to core.NeighborBuffer, the top-k
-buffer the kd-tree also fills. Exploration stops either when a full
-layer produces no update (heuristic, may rarely miss; an empty layer
-produces none) or when a geometric lower bound proves no unvisited cell
-can improve the result (guaranteed).
+occupied layers are scanned. When the query's cell lies inside a dense
+cell box (GridIndex.cell_table), layers 0-2 come from the table, the
+paper's hashed cell lookup as a direct-address table: layer 0 is one
+read, layer l a cached stencil of key offsets, one gather and one mask.
+Every other layer, and every layer of a query outside the box or of an
+index too sparse for a table, comes from slab rounds: each round
+binary-searches the sorted cell ids for a slab around the query,
+computes the layer of the cells in it and visits them in increasing
+layer order. A layer's points are read from the index's cell-ordered
+coordinates (built on the first query): a slice for one cell, else one
+gather. Once the buffer is full, a layer holding more points than cells
+first tests each cell's bounding box (GridIndex.cell_boxes): a cell
+whose box key exceeds the kth key cannot change the buffer and is
+skipped, the bounds-overlap-ball test of Friedman, Bentley & Finkel's
+kd-tree (ACM TOMS 1977) applied per cell. Each layer's candidates are
+offered to core.NeighborBuffer, the top-k buffer the kd-tree also fills.
+Exploration stops either when a full layer produces no update
+(heuristic, may rarely miss; an empty layer produces none) or when a
+geometric lower bound proves no unvisited cell can improve the result
+(guaranteed).
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from .core import (
     NeighborBuffer,
     check_query,
     distances_to_keys,
+    gap_keys,
     ordering_keys,
 )
-from .grid import CellId, GridIndex, _cell_ids
+from .grid import CellId, GridIndex, _query_cell
 
 STOP_MODES = ("heuristic", "guaranteed")
 
@@ -111,12 +118,11 @@ def knn_query(
         raise ValueError(f"unknown mode {mode!r}; expected one of {STOP_MODES}")
     q = check_query(q, index.dim, k, index.size)
     metric = index.metric
-    widths = index.params.widths
     try:
-        center = _cell_ids(q, widths)
+        center = _query_cell(q, index.params.widths)
     except ValueError as exc:
         raise ValueError(f"query {q}: {exc}") from None
-    min_width = float(widths.min())
+    min_width = index.min_width
     cell_coords, offsets = index.cell_coords, index.offsets
     # Unless some cell holds two or more points, no layer holds more points
     # than cells, and a cell's box is its point: the box test is skipped.
@@ -140,7 +146,7 @@ def knn_query(
         cells_visited += int(cells.size)
         count = None  # the layer's points, counted here only for the box test
         if buf.full and fat:
-            count = int((offsets[cells + 1] - offsets[cells]).sum())
+            count = int(np.add.reduce(index.cell_sizes[cells]))
             if count > cells.size:
                 # A cell whose box key exceeds the kth key holds no point
                 # that could enter the buffer: skip it. The reference walk
@@ -165,32 +171,48 @@ def knn_query(
     return buf.labelled(metric, index.labels), QueryStats(last, cells_visited, points_scanned)
 
 
-def _occupied_layers(index: GridIndex, center: np.ndarray, k: int):
-    """Yield (l, cell rows) for each occupied layer around center, l ascending.
+def _occupied_layers(index: GridIndex, c: list[int], k: int):
+    """Yield (l, cell rows) for each occupied layer around cell c, l ascending.
 
-    Rows of one layer come in lexicographic order. Layers are found in
-    rounds covering l in (done, r]: binary search on the sorted first cell
-    coordinate bounds a round to the slab |c0 - center0| <= r, and r grows
-    by a doubling step. The first round starts at the nearest layer the
-    cells' bounding box allows and spans a cube that would hold about k
-    points if they filled the box evenly, but at least two layers: the
-    first occupied layer always changes the empty buffer, so a heuristic
-    walk never stops at it. The last round ends at the farthest layer.
+    Rows of one layer ascend. With a cell table and c inside the cells'
+    box, layers 0.._TABLE_PAD come from the table. The other layers
+    are found in rounds covering l in (done, r]: binary search on the
+    sorted first cell coordinate bounds a round to the slab
+    |c0 - center0| <= r, and r grows by a doubling step. The first round
+    starts at the nearest layer the cells' bounding box allows and spans a
+    cube that would hold about k points if they filled the box evenly, but
+    at least two layers: the first occupied layer always changes the empty
+    buffer, so a heuristic walk never stops at it. The last round ends at
+    the farthest layer.
     """
     cells = index.cell_array
-    c, lo, hi = center.tolist(), index.cell_lo.tolist(), index.cell_hi.tolist()
+    lo, hi = index.cell_lo, index.cell_hi
     near = max(max(a - x, x - b, 0) for x, a, b in zip(c, lo, hi))
     far = max(max(x - a, b - x) for x, a, b in zip(c, lo, hi))
-    log_side = math.log(k / index.size) + sum(math.log(b - a + 1) for a, b in zip(lo, hi))
-    done, step = near - 1, max(2, int(math.exp(log_side / len(c)) / 2))
+    done = near - 1
+    if near == 0 and index.cell_table is not None:
+        table, base, strides, stencils = index.cell_table
+        key = sum((x - a) * s for x, a, s in zip(c, base, strides))
+        rows = table[key : key + 1]
+        if rows[0] >= 0:
+            yield 0, rows
+        for l, offs in enumerate(stencils[:far], 1):
+            rows = table[offs + key]
+            rows = rows[rows >= 0]
+            if rows.size:
+                yield l, rows
+        done = len(stencils)
+    if done < far:
+        log_side = math.log(k / index.size) + sum(math.log(b - a + 1) for a, b in zip(lo, hi))
+        step = max(2, int(math.exp(log_side / len(c)) / 2))
     while done < far:
         r = min(done + step, far)
         a = int(np.searchsorted(cells[:, 0], max(c[0] - r, lo[0]), side="left"))
         b = int(np.searchsorted(cells[:, 0], min(c[0] + r, hi[0]), side="right"))
         slab = cells[a:b]
-        cheb = np.abs(slab[:, 0] - center[0])
+        cheb = np.abs(slab[:, 0] - c[0])
         for j in range(1, slab.shape[1]):
-            np.maximum(cheb, np.abs(slab[:, j] - center[j]), out=cheb)
+            np.maximum(cheb, np.abs(slab[:, j] - c[j]), out=cheb)
         rows = np.flatnonzero((cheb > done) & (cheb <= r))
         done, step = r, 2 * step
         if rows.size == 0:
@@ -217,13 +239,13 @@ def _box_keys(index: GridIndex, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Ordering keys of the per-dimension gaps from q to each cell's bounding box.
 
     A point's gap to q in a dimension is at least the box's, also after
-    rounding, which is monotone; ordering_keys sums both left to right, so
-    no point of a cell has a key below its box key.
+    rounding, which is monotone; gap_keys sums both left to right, so no
+    point of a cell has a key below its box key.
     """
     lo, hi = index.cell_boxes
-    gaps = np.maximum(lo[cells] - q, q - hi[cells])
+    gaps = np.maximum(lo[cells] - q, q - hi[cells], order="F")
     np.maximum(gaps, 0.0, out=gaps)
-    return ordering_keys(np.zeros_like(q), gaps, index.metric)
+    return gap_keys(gaps, index.metric)
 
 
 def _first_bound_past(lo: int, hi: int, min_width: float, metric: str, kth) -> int | None:

@@ -13,6 +13,7 @@ the PointSet's arrays as they are; loading rebuilds and converts nothing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import LABEL_KINDS, METRICS, PointSet, _check_finite, _check_metric
+from .core import LABEL_KINDS, METRICS, PointSet, _check_finite, _check_labels, _check_metric
 
 CellId = tuple[int, ...]
 
@@ -135,6 +136,9 @@ def hash_cell(p, params: GridParams) -> CellId:
     return tuple(_cell_ids(p, params.widths).tolist())
 
 
+_TOO_FAR = "coordinates too far from the origin: a cell id leaves +-2**62"
+
+
 def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """floor(x / widths) as int64, for one point or a matrix of points.
 
@@ -143,14 +147,26 @@ def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
     query's layer arithmetic takes.
     """
     ids = np.floor(x / widths)
-    if not _within_cell_bound(ids):
-        raise ValueError("coordinates too far from the origin: a cell id leaves +-2**62")
+    if not _within_cell_bound(ids.min(), ids.max()):
+        raise ValueError(_TOO_FAR)
     return ids.astype(np.int64)
 
 
-def _within_cell_bound(ids: np.ndarray) -> bool:
-    """Whether every cell id is strictly inside +-2**62, by min and max: np.abs(-2**63) < 0."""
-    return bool(ids.min() > -(2**62) and ids.max() < 2**62)
+def _query_cell(q: np.ndarray, widths: np.ndarray) -> list[int]:
+    """floor(q / widths) of one finite point as Python ints, in fewer numpy calls than _cell_ids."""
+    ids = np.floor(q / widths).tolist()
+    if not _within_cell_bound(min(ids), max(ids)):  # q is finite: min and max can pass over a NaN
+        raise ValueError(_TOO_FAR)
+    return list(map(int, ids))
+
+
+def _within_cell_bound(lo, hi) -> bool:
+    """Whether cell ids with minimum lo and maximum hi lie strictly inside +-2**62 (np.abs(-2**63) < 0)."""
+    return bool(lo > -(2**62) and hi < 2**62)
+
+
+#: The cell table's padding, in cells per side: it serves layers 0.._TABLE_PAD.
+_TABLE_PAD = 2
 
 
 @dataclass(eq=False)
@@ -165,9 +181,9 @@ class GridIndex:
     cell_points reads a cell's points from them; there is no other view of
     the cells. The query reads cell i's coordinates as the contiguous
     columns offsets[i]:offsets[i + 1] of cell_coords, which its first call
-    builds, and, once a layer holds more points than cells, each cell's
-    bounding box from cell_boxes. coords and labels are the PointSet's
-    read-only arrays.
+    builds, its near cells from cell_table and, once a layer holds more
+    points than cells, each cell's bounding box from cell_boxes. coords and
+    labels are the PointSet's read-only arrays.
     """
 
     params: GridParams
@@ -181,8 +197,9 @@ class GridIndex:
     def __post_init__(self) -> None:
         # Bounding box of the non-empty cells: a query's first and last
         # occupied layers are bounded by its Chebyshev distance to it.
-        self.cell_lo = self.cell_array.min(axis=0)
-        self.cell_hi = self.cell_array.max(axis=0)
+        self.cell_lo = self.cell_array.min(axis=0).tolist()
+        self.cell_hi = self.cell_array.max(axis=0).tolist()
+        self.min_width = float(self.params.widths.min())
 
     @property
     def size(self) -> int:
@@ -214,6 +231,36 @@ class GridIndex:
         for box in boxes:
             box.flags.writeable = False
         return boxes
+
+    @cached_property
+    def cell_sizes(self) -> np.ndarray:
+        """Points per cell: the query counts a layer's points with it."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def cell_table(self) -> tuple[np.ndarray, list[int], list[int], list[np.ndarray]] | None:
+        """(table, base, strides, stencils) over the cells' padded box; None past 8n cells.
+
+        A cell's key sum((cell - base) * strides) is its mixed-radix place in
+        the bounding box padded by _TABLE_PAD cells per side, first dimension
+        most significant; table[key] is its CSR row, or -1 (Green's cell-start
+        array). stencils[l - 1] holds the ascending key offsets of layer l;
+        the padding keeps them from aliasing. Built on first use, never saved.
+        """
+        pad = _TABLE_PAD
+        base = [a - pad for a in self.cell_lo]
+        sides = [b - a + 1 + 2 * pad for a, b in zip(self.cell_lo, self.cell_hi)]
+        if math.prod(sides) > 8 * self.size:
+            return None
+        strides = [math.prod(sides[j + 1 :]) for j in range(len(sides))]
+        table = np.full(math.prod(sides), -1, dtype=np.int64)
+        table[(self.cell_array - base) @ strides] = np.arange(self.cell_array.shape[0])
+        deltas = np.array(list(itertools.product(range(-pad, pad + 1), repeat=len(sides))))  # keys ascend
+        layer, keys = np.abs(deltas).max(axis=1), deltas @ strides
+        stencils = [keys[layer == l] for l in range(1, pad + 1)]
+        for a in (table, *stencils):
+            a.flags.writeable = False
+        return table, base, strides, stencils
 
 
 def build(data: PointSet, metric: str = "euclidean", params: GridParams | None = None) -> GridIndex:
@@ -297,13 +344,14 @@ def load_index(path) -> GridIndex:
     """Read an index written by save_index.
 
     The header must give version 1, a known metric and each array's dtype
-    kind and shape, and the file's size must match it before any array is
-    read. Then every array must be shaped as the others say, offsets must
-    rise strictly from 0 to n, order must be a permutation of 0..n-1, cell
-    ids must rise strictly inside +-2**62, coordinates must be finite and
-    widths positive and finite. A change to the order region breaks the
-    permutation; one to offsets is caught when it breaks the strict rise.
-    Coordinates and labels are not checksummed; they come back read-only.
+    kind and shape, the file's size must match the header, and every shape
+    must agree with the n, d and c that coords and cell_ids give, before any
+    array is read. Then offsets must rise strictly from 0 to n, order must
+    be a permutation of 0..n-1, cell ids must rise strictly inside +-2**62,
+    coordinates must be finite, labels free of NaN and widths positive and
+    finite. A change to the order region breaks the permutation; one to
+    offsets is caught when it breaks the strict rise. Coordinates and
+    labels are not checksummed; they come back read-only.
     Raises ValueError naming the path for a truncated or corrupt file.
     """
     with open(path, "rb") as fh:
@@ -332,6 +380,13 @@ def load_index(path) -> GridIndex:
         sizes = [dtype.itemsize * math.prod(shape) for _, _, dtype, shape in layout]
         if os.fstat(fh.fileno()).st_size != fh.tell() + sum(sizes):
             raise ValueError(f"{path}: file size does not match its header (truncated?)")
+        shapes = {name: shape for name, _, _, shape in layout}
+        if len(shapes["coords"]) != 2 or len(shapes["cell_ids"]) != 2 or 0 in shapes["coords"]:
+            raise ValueError(f"{path}: coords and cell_ids must be non-empty matrices")
+        (n, d), c = shapes["coords"], shapes["cell_ids"][0]
+        for name, _source, _kinds, shape_of in _LAYOUT:
+            if shapes[name] != shape_of(n, d, c):
+                raise ValueError(f"{path}: {name} has shape {shapes[name]}, expected {shape_of(n, d, c)}")
         arrays = {}
         for name, _, dtype, shape in layout:
             arrays[name] = np.empty(shape, dtype=dtype)
@@ -342,6 +397,7 @@ def load_index(path) -> GridIndex:
     offsets, order = _check_arrays(path, arrays)
     try:
         _check_finite(arrays["coords"])
+        _check_labels(arrays["labels"])
         params = GridParams(arrays["widths"], arrays["origin"], arrays["splits"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -353,13 +409,8 @@ def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the offsets and order arrays as int64, the dtype the query uses.
     """
-    coords, cells = arrays["coords"], arrays["cell_ids"]
-    if coords.ndim != 2 or cells.ndim != 2 or coords.size == 0:
-        raise ValueError(f"{path}: coords and cell_ids must be non-empty matrices")
-    (n, d), c = coords.shape, cells.shape[0]
-    for name, _source, _kinds, shape_of in _LAYOUT:
-        if arrays[name].shape != shape_of(n, d, c):
-            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape_of(n, d, c)}")
+    n, cells = arrays["coords"].shape[0], arrays["cell_ids"]
+    c = cells.shape[0]
     offsets = arrays["offsets"].astype(np.int64, copy=False)
     if offsets[0] != 0 or offsets[-1] != n or np.any(offsets[1:] <= offsets[:-1]):
         raise ValueError(f"{path}: offsets do not rise strictly from 0 to {n}")
@@ -372,6 +423,6 @@ def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(c - 1)
     if not differ.any(axis=1).all() or np.any(nxt[rows, first] < prev[rows, first]):
         raise ValueError(f"{path}: cell ids are not strictly increasing")
-    if not _within_cell_bound(cells):
+    if not _within_cell_bound(cells.min(), cells.max()):
         raise ValueError(f"{path}: a cell id leaves +-2**62")
     return offsets, order

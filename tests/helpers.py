@@ -35,6 +35,11 @@ def as_pairs(neighbors):
     return [(n.distance, n.point_index) for n in neighbors]
 
 
+def held(buf):
+    """A NeighborBuffer's retained (key, index) pairs, ascending."""
+    return list(zip(buf.keys.tolist(), buf.idx.tolist()))
+
+
 def _header(data: bytes) -> tuple[dict, int]:
     """The JSON header of an index file and the offset of its first array."""
     start = len(_MAGIC) + 4

@@ -10,10 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import as_pairs
+from helpers import as_pairs, held
 from gridneighbors import (
     GridParams,
-    Neighbor,
     NeighborBuffer,
     brute_build,
     brute_knn,
@@ -197,9 +196,8 @@ def test_criterion_8_structure_property_suites():
         dists = rng.uniform(0, 10, m).round(int(rng.integers(0, 3)))
         buf = NeighborBuffer(k)
         for i, dv in enumerate(dists):
-            buf.push(Neighbor(float(dv), i))
-        got = [(nb.distance, nb.point_index) for nb in buf.neighbors()]
-        assert got == sorted(zip(dists.tolist(), range(m)))[:k]
+            buf.offer(dists[i : i + 1], np.array([i]))
+        assert held(buf) == sorted(zip(dists.tolist(), range(m)))[:k]
 
     # grid structure: at most n cells, CSR arrays cover every point once,
     # and round-trip retrieval

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridneighbors import METRICS, Neighbor, NeighborBuffer, distance
+from gridneighbors import METRICS, NeighborBuffer, distance
 from gridneighbors.core import ordering_keys
+from helpers import held
 
 
 class TestDistance:
@@ -83,26 +84,30 @@ def _oracle_topk(pushes, k):
     return sorted(pushes)[:k]
 
 
+def _offer_one(buf, key, i):
+    return buf.offer(np.array([key]), np.array([i]))
+
+
 class TestNeighborBuffer:
     def test_fills_then_replaces(self):
         buf = NeighborBuffer(3)
         for i, d in enumerate([5.0, 2.0, 9.0]):
-            assert buf.push(Neighbor(d, i))
-        assert buf.push(Neighbor(4.0, 3))
-        assert [n.distance for n in buf.neighbors()] == [2.0, 4.0, 5.0]
+            assert _offer_one(buf, d, i)
+        assert _offer_one(buf, 4.0, 3)
+        assert [key for key, _ in held(buf)] == [2.0, 4.0, 5.0]
 
     def test_rejects_worse(self):
         buf = NeighborBuffer(3)
         for i, d in enumerate([2.0, 4.0, 5.0]):
-            buf.push(Neighbor(d, i))
-        assert not buf.push(Neighbor(7.0, 3))
-        assert [n.distance for n in buf.neighbors()] == [2.0, 4.0, 5.0]
+            _offer_one(buf, d, i)
+        assert not _offer_one(buf, 7.0, 3)
+        assert [key for key, _ in held(buf)] == [2.0, 4.0, 5.0]
 
     def test_ties_keep_lowest_indices(self):
         buf = NeighborBuffer(2)
         for i in (3, 1, 2):
-            buf.push(Neighbor(1.0, i))
-        assert [n.point_index for n in buf.neighbors()] == [1, 2]
+            _offer_one(buf, 1.0, i)
+        assert [i for _, i in held(buf)] == [1, 2]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -122,9 +127,8 @@ class TestNeighborBuffer:
         pushes = [(d, i) for i, (d, _) in enumerate(pushes)]
         buf = NeighborBuffer(k)
         for d, i in pushes:
-            buf.push(Neighbor(d, i))
-        got = [(n.distance, n.point_index) for n in buf.neighbors()]
-        assert got == _oracle_topk(pushes, k)
+            _offer_one(buf, d, i)
+        assert held(buf) == _oracle_topk(pushes, k)
 
     @settings(max_examples=300)
     @given(
@@ -134,10 +138,9 @@ class TestNeighborBuffer:
     def test_accepted_iff_contents_change(self, dists, k):
         buf = NeighborBuffer(k)
         for i, d in enumerate(dists):
-            before = [(n.distance, n.point_index) for n in buf.neighbors()]
-            accepted = buf.push(Neighbor(d, i))
-            after = [(n.distance, n.point_index) for n in buf.neighbors()]
-            assert accepted == (before != after)
+            before = held(buf)
+            accepted = _offer_one(buf, d, i)
+            assert accepted == (before != held(buf))
 
     @settings(max_examples=300)
     @given(st.data(), st.integers(1, 8))
@@ -155,13 +158,13 @@ class TestNeighborBuffer:
         for a, b in zip(bounds, bounds[1:]):
             batch = np.array(keys[a:b])
             how = data.draw(st.sampled_from(["ids", "positions", "slice"]))
-            before = [(n.distance, n.point_index) for n in buf.neighbors()]
+            before = held(buf)
             if how == "ids":
                 changed = buf.offer(batch, ids[a:b])
             elif how == "positions":
                 changed = buf.offer(batch, np.arange(a, b), ids)
             else:
                 changed = buf.offer(batch, slice(a, b), ids)
-            after = [(n.distance, n.point_index) for n in buf.neighbors()]
+            after = held(buf)
             assert changed == (before != after)
             assert after == _oracle_topk(list(zip(keys[:b], ids[:b].tolist())), k)

@@ -214,3 +214,105 @@ def test_fat_cells_with_outliers(monkeypatch, rng, metric, d):
         )
         sizes = np.diff(index.offsets)
         assert sum(int(sizes[cells].sum()) for cells in read) < scanned  # cells were skipped
+
+
+# ---------------------------------------------------------------------------
+# The cell table: layers 0-2 of a query whose cell lies inside a dense box
+# are read from GridIndex.cell_table, every other layer from slab rounds.
+
+
+def _lattice_index(d, side, metric, rng):
+    """Integer points on a side^d lattice in width-2 cells: distances tie in many ways."""
+    X = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d), -1).reshape(-1, d)
+    params = GridParams([2.0] * d, [0.0] * d, [side // 2] * d)
+    return build(points_from_arrays(X, rng.integers(0, 3, X.shape[0])), metric, params=params)
+
+
+def _count_slab_searches(monkeypatch):
+    """Count np.searchsorted calls: the slab rounds' binary searches."""
+    calls = []
+    searchsorted = np.searchsorted
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return calls
+
+
+def test_near_layers_in_a_dense_box_skip_the_slab_search(monkeypatch, rng):
+    index = _lattice_index(2, 24, "euclidean", rng)  # 12 x 12 cells of 4 points
+    assert index.cell_table is not None
+    calls = _count_slab_searches(monkeypatch)
+
+    def walk(idx, center):
+        """(layer, rows, slab searches made so far) for each occupied layer."""
+        calls.clear()
+        return [(l, rows.tolist(), len(calls)) for l, rows in explore._occupied_layers(idx, center, 3)]
+
+    inside = walk(index, [1, 6])
+    assert [l for l, _, _ in inside] == list(range(11))
+    assert [n for l, _, n in inside if l <= 2] == [0, 0, 0]
+    assert inside[3][2] > 0  # layer 3 on comes from the slab rounds
+    # The table yields exactly what the slab rounds would.
+    slab_only = build(points_from_arrays(index.coords, index.labels), params=index.params)
+    vars(slab_only)["cell_table"] = None
+    assert [(l, rows) for l, rows, _ in inside] == [(l, rows) for l, rows, _ in walk(slab_only, [1, 6])]
+    # A query outside the box, and an index too sparse for a table, search
+    # from their first layer on.
+    outside = walk(index, [-1, 6])
+    assert outside[0][0] == 1 and outside[0][2] > 0
+    sparse = build(points_from_arrays(np.array([[0.5, 0.5], [40.5, 0.5], [1.5, 0.5]]), [0, 1, 2]),
+                   params=GridParams([1.0, 1.0], [0.0, 0.0], [41, 1]))
+    assert sparse.cell_table is None
+    assert walk(sparse, [0, 0])[0][2] > 0
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_table_walk_at_the_box_edges(rng, metric, d):
+    # Queries in the box's first and last cells read padded table entries;
+    # large k carries the walk past layer 2 into the slab rounds.
+    side = {1: 40, 2: 16, 3: 10, 4: 8}[d]
+    index = _lattice_index(d, side, metric, rng)
+    assert index.cell_table is not None
+    n = index.size
+    first, last = np.zeros(d), np.full(d, side - 1.0)
+    queries = [first, first + 0.5, first + 1.0, last, last - 0.5, last - 1.0, np.full(d, 2.0)]
+    _assert_same(index, queries, [1, 3, 2**d + 1, 3**d + 1, n])
+    bi = brute_build(points_from_arrays(index.coords, index.labels), metric)
+    deepest = 0
+    for q in queries:
+        for k in (3, 3**d + 1, n):
+            got, stats = knn_query(index, q, k, "guaranteed")
+            assert [(g.distance, g.point_index) for g in got] == [(b.distance, b.point_index) for b in brute_knn(bi, q, k)]
+            deepest = max(deepest, stats.layers_visited)
+    assert deepest > 2
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("big", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_table_walk_near_the_cell_id_bound(rng, metric, big, sign):
+    # Floats near 2**62 lie 512 apart, so with width 1 a column of one such
+    # value puts every point in one cell whose id is 512 inside the bound;
+    # the other column spans 8 small ids. The table's box is 1 x 8 cells.
+    x0 = sign * (2.0**62 - 512)
+    X = np.empty((40, 2))
+    X[:, big], X[:, 1 - big] = x0, rng.uniform(0, 8, 40)
+    params = GridParams([1.0, 1.0], [0.0, 0.0], [1, 8][:: 1 - 2 * big])
+    index = build(points_from_arrays(X, rng.integers(0, 3, 40)), metric, params=params)
+    assert index.cell_lo[big] == index.cell_hi[big] == sign * (2**62 - 512)
+    assert index.cell_table is not None
+    edge = np.empty(2)
+    edge[big] = x0
+    queries = [X[i] + np.eye(2)[1 - big] * 0.3 for i in range(4)]
+    for small in (0.0, 7.99, 3.0):
+        edge[1 - big] = small
+        queries.append(edge.copy())
+    _assert_same(index, queries, [1, 5, 40])
+    bi = brute_build(points_from_arrays(X, [0] * 40), metric)
+    for q in queries:
+        got = knn_query(index, q, 5, "guaranteed")[0]
+        assert [(g.distance, g.point_index) for g in got] == [(b.distance, b.point_index) for b in brute_knn(bi, q, 5)]

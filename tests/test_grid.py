@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -15,6 +16,7 @@ from gridneighbors import (
     fit_cell_measurements,
     hash_cell,
     knn_query,
+    layer_cell_count,
     load_index,
     points_from_arrays,
     save_index,
@@ -380,6 +382,68 @@ class TestCellBoxes:
         assert "cell_boxes" not in vars(index)
 
 
+class TestCellTable:
+    @staticmethod
+    def _dense(rng, d=2):
+        X = rng.uniform(0, 6, (300, d))
+        return build(points_from_arrays(X, rng.integers(0, 3, 300)), params=GridParams([1.0] * d, [0.0] * d, [6] * d))
+
+    @staticmethod
+    def _key(table, cell):
+        _table, base, strides, _stencils = table
+        return sum((int(c) - a) * s for c, a, s in zip(cell, base, strides))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_maps_each_cell_key_to_its_row(self, rng, d):
+        index = self._dense(rng, d)
+        table, base, strides, stencils = index.cell_table
+        assert base == [a - grid._TABLE_PAD for a in index.cell_lo]
+        assert table.size == math.prod(b - a + 1 + 2 * grid._TABLE_PAD for a, b in zip(index.cell_lo, index.cell_hi))
+        assert [table[self._key(index.cell_table, c)] for c in index.cell_array] == list(range(len(index.cell_array)))
+        assert np.count_nonzero(table >= 0) == len(index.cell_array)
+        # Each stencil holds the key offsets of one Chebyshev layer, ascending.
+        center = self._key(index.cell_table, [2] * d)
+        for l, offs in enumerate(stencils, 1):
+            assert offs.size == layer_cell_count(l, d)
+            ring = [c for c in itertools.product(range(5), repeat=d) if max(abs(x - 2) for x in c) == l]
+            assert offs.tolist() == sorted(self._key(index.cell_table, c) - center for c in ring)
+        for a in (table, *stencils):
+            assert not a.flags.writeable
+
+    def test_none_when_the_padded_box_holds_more_than_8n_cells(self):
+        # Two points, in cells 0 and s - 1: the padded box holds s + 4 cells.
+        def index(s):
+            X = np.array([[0.5], [s - 0.5]])
+            return build(points_from_arrays(X, [0, 1]), params=GridParams([1.0], [0.0], [s]))
+
+        assert index(12).cell_table is not None  # 16 cells
+        assert index(13).cell_table is None  # 17 cells
+
+    def test_built_by_the_first_query_and_never_saved(self, rng, tmp_path):
+        index = self._dense(rng)
+        save_index(index, tmp_path / "a.ghn")
+        assert "cell_table" not in vars(index)
+        knn_query(index, index.coords[0], 3)
+        table = vars(index)["cell_table"]
+        save_index(index, tmp_path / "b.ghn")
+        loaded = load_index(tmp_path / "b.ghn")
+        assert "cell_table" not in vars(loaded)
+        for q in index.coords[:10] + 0.01:
+            knn_query(loaded, q, 5)
+        assert loaded.cell_table is vars(loaded)["cell_table"]
+        save_index(loaded, tmp_path / "c.ghn")
+        assert (tmp_path / "a.ghn").read_bytes() == (tmp_path / "b.ghn").read_bytes() == (tmp_path / "c.ghn").read_bytes()
+        (t, base, strides, stencils), (lt, lbase, lstrides, lstencils) = table, loaded.cell_table
+        assert np.array_equal(t, lt) and base == lbase and strides == lstrides
+        assert all(np.array_equal(a, b) for a, b in zip(stencils, lstencils))
+
+    def test_golden_file_builds_its_table(self):
+        index = load_index(GOLDEN)
+        table = index.cell_table
+        assert table is not None
+        assert [table[0][self._key(table, c)] for c in index.cell_array] == list(range(len(index.cell_array)))
+
+
 def _golden_data():
     rng = np.random.default_rng(2020)
     X = np.round(rng.normal(0, 2, (40, 2)), 3)
@@ -475,21 +539,38 @@ class TestLoadRejections:
 
         self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"{name} has dtype")
 
-    @pytest.mark.parametrize("name", NAMES)
-    def test_wrong_shape_rejected(self, tmp_path, name):
-        # name grows by one along its last axis and a donor shrinks by as many
-        # elements, so the file size still matches the header. coords sets n
-        # and d, so a wider coords is reported as the widths that no longer
-        # match it; a longer order takes its element from labels, checked first.
+    @staticmethod
+    def _shape_grown(name):
+        """The golden file with name one longer along its last axis, and the name reported.
+
+        A donor shrinks by as many elements, so the file size still matches
+        the header. coords sets n and d, so a wider coords is reported as the
+        widths that no longer match it; a longer order takes its element from
+        labels, checked first.
+        """
         donor = "labels" if name == "order" else "order"
-        reported = {"coords": "widths", "order": "labels"}.get(name, name)
 
         def edit(header):
             shapes = {key: meta["shape"] for key, meta in header["arrays"].items()}
             shapes[donor][-1] -= math.prod(shapes[name][:-1])
             shapes[name][-1] += 1
 
-        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"{reported} has shape")
+        return rewrite_index(GOLDEN.read_bytes(), edit), {"coords": "widths", "order": "labels"}.get(name, name)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_shape_rejected(self, tmp_path, name):
+        data, reported = self._shape_grown(name)
+        self._rejected(tmp_path, data, f"{reported} has shape")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_shape_rejected_before_any_array_is_read(self, tmp_path, monkeypatch, name):
+        data, reported = self._shape_grown(name)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an array was allocated for reading")
+
+        monkeypatch.setattr(grid.np, "empty", no_read)
+        self._rejected(tmp_path, data, f"{reported} has shape")
 
     @pytest.mark.parametrize("entry", [-1, 2.5, "2"])
     @pytest.mark.parametrize("name", NAMES)
@@ -545,6 +626,13 @@ class TestLoadRejections:
         coords[row, 1] = value
         data = rewrite_index(GOLDEN.read_bytes(), coords=coords)
         self._rejected(tmp_path, data, f"point {row}: non-finite coordinate")
+
+    @pytest.mark.parametrize("row", [0, 17, 39])
+    def test_nan_label_rejected(self, tmp_path, row):
+        labels = load_index(GOLDEN).labels.astype(float)
+        labels[row] = np.nan
+        data = rewrite_index(GOLDEN.read_bytes(), labels=labels)
+        self._rejected(tmp_path, data, f"point {row}: NaN label")
 
     @staticmethod
     def _line_index(first, last):

@@ -91,6 +91,14 @@ class TestPointSet:
         with pytest.raises(ValueError, match=message):
             points_from_arrays(np.zeros((2, 1)), labels)
 
+    @pytest.mark.parametrize("row", [0, 4])
+    def test_nan_label_rejected_naming_its_row(self, row):
+        # classify would count each NaN as a class of its own: NaN != NaN.
+        labels = [1.0, 0.0, 1.0, 0.0, 2.0]
+        labels[row] = float("nan")
+        with pytest.raises(ValueError, match=rf"^point {row}: NaN label$"):
+            points_from_arrays(np.zeros((5, 1)), labels)
+
     def test_labels_are_a_read_only_copy(self):
         y = np.array([0, 1, 2])
         pts = points_from_arrays(np.zeros((3, 1)), y)
