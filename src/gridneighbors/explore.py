@@ -10,7 +10,10 @@ Every other layer, and every layer of a query outside the box or of an
 index too sparse for a table, comes from slab rounds: each round
 binary-searches the sorted cell ids for a slab around the query,
 computes the layer of the cells in it and visits them in increasing
-layer order. A layer's points are read from the index's cell-ordered
+layer order. The first round spans a cube expected to hold about 8k
+points and each later one doubles, but once the buffer is full with kth
+distance D, a round that starts below layer floor(D / min width) + 2
+ends there. A layer's points are read from the index's cell-ordered
 coordinates (built on the first query): a slice for one cell, else one
 gather. Once the buffer is full, a layer holding more points than cells
 first tests each cell's bounding box (GridIndex.cell_boxes): a cell
@@ -18,10 +21,12 @@ whose box key exceeds the kth key cannot change the buffer and is
 skipped, the bounds-overlap-ball test of Friedman, Bentley & Finkel's
 kd-tree (ACM TOMS 1977) applied per cell. Each layer's candidates are
 offered to core.NeighborBuffer, the top-k buffer the kd-tree also fills.
-Exploration stops either when a full layer produces no update
-(heuristic, may rarely miss; an empty layer produces none) or when a
-geometric lower bound proves no unvisited cell can improve the result
-(guaranteed).
+On an index of one-point cells, a slab round's points are keyed at once
+and merged with the buffer in one sort (NeighborBuffer.offer_layers),
+and the stopping rule is replayed on its per-layer results. Exploration
+stops either when a full layer produces no update (heuristic, may rarely
+miss; an empty layer produces none) or when a geometric lower bound
+proves no unvisited cell can improve the result (guaranteed).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .core import (
     check_query,
     distances_to_keys,
     gap_keys,
+    keys_to_distances,
     ordering_keys,
 )
 from .grid import CellId, GridIndex, _query_cell
@@ -107,7 +113,8 @@ def knn_query(
     Both modes terminate once the visited layers cover every non-empty
     cell. Only occupied layers are scanned: the stopping rule is applied
     to the empty layers between them without visiting them, so the cost
-    does not grow with the query's distance from the data. Returns
+    does not grow with the query's distance from the data; on one-point
+    cells, it is replayed on a whole slab round merged at once. Returns
     neighbors sorted by (distance, point_index), plus stats.
 
     Raises ValueError for a NaN or infinite query, and for one so far
@@ -132,7 +139,34 @@ def knn_query(
     cells_visited = 0
     points_scanned = 0
     last = -1  # last visited layer
-    for l, cells in _occupied_layers(index, center, k):
+    for l, cells in _occupied_layers(index, center, k, buf, not fat):
+        if isinstance(l, np.ndarray):
+            # A whole slab round of one-point cells, l holding each row's layer.
+            opens = np.concatenate(([True], l[1:] != l[:-1]))  # a row that opens a layer
+            layers, group = l[opens], np.cumsum(opens)
+            keys = ordering_keys(q, cell_coords.take(cells, axis=1).T, metric)
+            full, kth, changed, keep = buf.offer_layers(keys, index.order[cells], group)
+            prev = np.concatenate(([last], layers))  # prev[j]: the last layer visited once j are
+            gap = full[:-1] & (layers > prev[:-1] + 1)  # empty layers after a full buffer
+            if mode == "heuristic":
+                halt = full[1:] & ~changed
+            else:
+                gap &= distances_to_keys((layers - 1) * min_width, metric) > kth[:-1]
+                halt = full[1:] & (distances_to_keys(layers * min_width, metric) > kth[1:])
+            # The layers visited: all, or those before the first stop and,
+            # unless the walk stops in the empty layers before it, its own.
+            stops = (gap | halt).nonzero()[0]
+            j = int(stops[0]) + (not gap[stops[0]]) if stops.size else layers.size
+            keep(j)
+            count = int(np.count_nonzero(group <= j))  # one point per cell
+            cells_visited += count
+            points_scanned += count
+            last = int(prev[j])
+            if not stops.size:
+                continue
+            if j > stops[0]:
+                break
+            l = int(layers[j])  # the walk stops in the empty layers before l, below
         if buf.full and l > last + 1:
             # Layers last+1 .. l-1 are empty: each counts as a layer with
             # no update whose bound may already exceed the kth distance.
@@ -171,7 +205,7 @@ def knn_query(
     return buf.labelled(metric, index.labels), QueryStats(last, cells_visited, points_scanned)
 
 
-def _occupied_layers(index: GridIndex, c: list[int], k: int):
+def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer | None = None, rounds=False):
     """Yield (l, cell rows) for each occupied layer around cell c, l ascending.
 
     Rows of one layer ascend. With a cell table and c inside the cells'
@@ -180,10 +214,13 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int):
     sorted first cell coordinate bounds a round to the slab
     |c0 - center0| <= r, and r grows by a doubling step. The first round
     starts at the nearest layer the cells' bounding box allows and spans a
-    cube that would hold about k points if they filled the box evenly, but
+    cube that would hold about 8k points if they filled the box evenly, but
     at least two layers: the first occupied layer always changes the empty
-    buffer, so a heuristic walk never stops at it. The last round ends at
-    the farthest layer.
+    buffer, so a heuristic walk never stops at it. Once buf is full with
+    kth distance D, no round reaches past layer floor(D / min width) + 2,
+    whose points are farther than D, unless it starts there. The last round
+    ends at the farthest layer. With rounds, a slab round is yielded whole:
+    (each row's layer, rows), sorted by layer.
     """
     cells = index.cell_array
     lo, hi = index.cell_lo, index.cell_hi
@@ -204,9 +241,13 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int):
         done = len(stencils)
     if done < far:
         log_side = math.log(k / index.size) + sum(math.log(b - a + 1) for a, b in zip(lo, hi))
-        step = max(2, int(math.exp(log_side / len(c)) / 2))
+        step = max(2, int(math.exp(log_side / len(c))))
     while done < far:
         r = min(done + step, far)
+        if buf is not None and buf.full:
+            cap = keys_to_distances(buf.keys[-1], index.metric) / index.min_width + 2
+            if done + 1 <= cap < r:
+                r = int(cap)
         a = int(np.searchsorted(cells[:, 0], max(c[0] - r, lo[0]), side="left"))
         b = int(np.searchsorted(cells[:, 0], min(c[0] + r, hi[0]), side="right"))
         slab = cells[a:b]
@@ -220,6 +261,9 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int):
         layer = cheb[rows]
         by_layer = np.argsort(layer, kind="stable")
         rows, layer = rows[by_layer] + a, layer[by_layer]
+        if rounds:
+            yield layer, rows
+            continue
         starts = [0, *(np.flatnonzero(layer[1:] != layer[:-1]) + 1).tolist()]
         for s, e in zip(starts, [*starts[1:], rows.size]):
             yield int(layer[s]), rows[s:e]

@@ -4,6 +4,8 @@ Both must return the same neighbors (distance, index, label) and the same
 QueryStats, in both modes and for every metric.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from gridneighbors import (
     knn_query,
     points_from_arrays,
 )
-from gridneighbors.core import ordering_keys
+from gridneighbors.core import NeighborBuffer, keys_to_distances, ordering_keys
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
 
@@ -316,3 +318,162 @@ def test_table_walk_near_the_cell_id_bound(rng, metric, big, sign):
     for q in queries:
         got = knn_query(index, q, 5, "guaranteed")[0]
         assert [(g.distance, g.point_index) for g in got] == [(b.distance, b.point_index) for b in brute_knn(bi, q, 5)]
+
+
+# ---------------------------------------------------------------------------
+# One-point cells: on an index whose every cell holds one point, each slab
+# round is keyed at once and merged with the buffer in one sort, and the
+# stopping rule is replayed on the per-layer results.
+
+
+def _thin_index(rng, n, d, metric):
+    """Uniform points under the paper fit, one kept per cell, so every cell holds one point."""
+    X = rng.uniform(-50, 50, (n, d))
+    fitted = build(points_from_arrays(X, np.zeros(n)), metric)
+    X = X[fitted.order[fitted.offsets[:-1]]]
+    index = build(points_from_arrays(X, rng.integers(0, 3, X.shape[0])), metric, params=fitted.params)
+    assert index.size == index.offsets.size - 1
+    return index, X
+
+
+def _assert_brute(index, queries, ks):
+    bi = brute_build(points_from_arrays(index.coords, index.labels), index.metric)
+    for q in queries:
+        for k in ks:
+            got = knn_query(index, q, k, "guaranteed")[0]
+            assert [(g.distance, g.point_index) for g in got] == [(b.distance, b.point_index) for b in brute_knn(bi, q, k)]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_thin_rounds_match_the_reference_walk(rng, metric, d):
+    index, X = _thin_index(rng, 300, d, metric)
+    widths = index.params.widths
+    queries = [X[i] + rng.normal(0, 0.5, d) for i in rng.integers(0, len(X), 3)]
+    for i in rng.integers(0, len(X), 2):  # on a corner of a data point's cell, and 1e-12 off it
+        queries.append(np.floor(X[i] / widths) * widths + rng.choice([-1e-12, 0.0, 1e-12], d))
+    queries.append(_far(rng, X, widths, 1)[0])
+    ks = [1, 10, index.size]
+    _assert_same(index, queries, ks)
+    _assert_brute(index, queries, ks)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_thin_rounds_near_the_cell_id_bound(rng, metric, sign):
+    # Width-1 cells; the first column takes 8 values 512 apart just inside
+    # 2**62, where floats lie 512 apart, and the second 8 unit cells, so
+    # each of the 64 points has a cell of its own and layers run to 4096.
+    big = sign * (2.0**62 - 512 * rng.permutation(np.arange(1, 9)))
+    X = np.stack(np.meshgrid(big, np.arange(8) + 0.5), -1).reshape(-1, 2)
+    X[:, 1] += rng.uniform(-0.4, 0.4, len(X))
+    params = GridParams([1.0, 1.0], [0.0, 0.0], [1, 8])
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=params)
+    assert index.size == index.offsets.size - 1 and index.cell_table is None
+    queries = [X[i] + [0.0, 0.3] for i in rng.integers(0, len(X), 2)]
+    queries += [np.array([big[0] - sign * 2048, 3.0]), np.array([big.min(), 8.5])]
+    _assert_same(index, queries, [1, 10, len(X)])
+    _assert_brute(index, queries, [1, 10, len(X)])
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_thin_rounds_with_k_equal_to_n_stay_small(rng, metric):
+    # 2000 one-point cells and k = n: the merge counts each layer's kth
+    # position in bounded blocks, so the query's peak allocation stays far
+    # below that of a (layers x candidates) table, about 6 MB here.
+    index, X = _thin_index(rng, 2000, 3, metric)
+    n = index.size
+    queries = [X[0] + 0.1, np.zeros(3)]
+    _assert_same(index, queries[:1], [n // 2, n])
+    _assert_brute(index, queries, [n // 2, n])
+    for k in (n // 2, n):
+        tracemalloc.start()
+        try:
+            knn_query(index, queries[1], k, "guaranteed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (k, peak)
+
+
+def _spy(monkeypatch, owner, name, calls):
+    """Append the arguments of every call to owner.name to calls."""
+    target = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_a_thin_round_is_merged_once_and_fat_layers_are_box_tested_one_by_one(monkeypatch, rng):
+    merges, offers, boxes = [], [], []
+    _spy(monkeypatch, NeighborBuffer, "offer_layers", merges)
+    _spy(monkeypatch, NeighborBuffer, "offer", offers)
+    _spy(monkeypatch, explore, "_box_keys", boxes)
+
+    # One-point cells: a k = 10 query visits dozens of occupied layers in
+    # one or two slab rounds, each merged once, and offers nothing alone.
+    index, X = _thin_index(rng, 2000, 3, "euclidean")
+    q = X[5] + 0.1
+    got, stats = knn_query(index, q, 10, "guaranteed")
+    cheb = np.abs(index.cell_array - np.floor(q / index.params.widths)).max(axis=1)
+    occupied = np.unique(cheb[cheb <= stats.layers_visited]).size
+    assert 1 <= len(merges) < occupied and not offers and not boxes
+    assert _answer(got, stats) == _answer(*reference_knn_query(BucketIndex(index), q, 10, "guaranteed"))
+
+    # Fat cells: no merge; each box test covers the cells of one layer.
+    merges.clear()
+    X = _fat_cells(rng, 3)
+    params = GridParams(np.full(3, 5.0), X.min(axis=0), np.ones(3, dtype=np.int64))
+    fat = build(points_from_arrays(X, rng.integers(0, 3, len(X))), params=params)
+    q = X[-1] + 1.0  # beside an outlier: the walk crosses several fat layers
+    got, stats = knn_query(fat, q, 5, "guaranteed")
+    center = np.floor(q / fat.params.widths)
+    layers = [np.unique(np.abs(fat.cell_array[cells] - center).max(axis=1)) for _, _, cells in boxes]
+    assert not merges and len(boxes) >= 2
+    assert all(l.size == 1 for l in layers) and len({int(l[0]) for l in layers}) == len(layers)
+    assert _answer(got, stats) == _answer(*reference_knn_query(BucketIndex(fat), q, 5, "guaranteed"))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_full_buffer_caps_the_slab_rounds(monkeypatch, rng, metric):
+    # Queries at corners of the data: the first round, a cube expected to
+    # hold 8k points if the data filled it, meets an eighth of it, so the
+    # walk often needs a second round. Once the buffer is full with kth
+    # distance D, a round starting below layer floor(D / min width) + 2 must
+    # end there. A corner clips the slab search on one side only, so the
+    # other side gives the round's reach.
+    index, X = _thin_index(rng, 2000, 3, metric)
+    buffers, rounds = [], []
+
+    class Recorded(NeighborBuffer):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            buffers.append(self)
+
+    searchsorted = np.searchsorted
+
+    def spy(a, v, side="left"):
+        buf = buffers[-1]
+        kth = keys_to_distances(buf.keys[-1], metric) if buf.full else None
+        rounds.append((side, int(v), kth))
+        return searchsorted(a, v, side=side)
+
+    monkeypatch.setattr(explore, "NeighborBuffer", Recorded)
+    monkeypatch.setattr(np, "searchsorted", spy)
+    capped = 0
+    for q in ([49.9, 49.9, 49.9], [49.9, -49.9, 49.9], [-49.9, 49.9, -49.9], [-49.9, -49.9, -49.9]):
+        for mode in STOP_MODES:
+            rounds.clear()
+            want = reference_knn_query(BucketIndex(index), q, 10, mode)
+            assert _answer(*knn_query(index, q, 10, mode)) == _answer(*want)
+            c0 = int(np.floor(q[0] / index.params.widths[0]))
+            reach = [max(c0 - left, right - c0) for (_, left, _), (_, right, _) in zip(rounds[::2], rounds[1::2])]
+            for done, r, (_, _, dist) in zip(reach, reach[1:], rounds[2::2]):
+                cap = None if dist is None else dist / index.min_width + 2  # r <= cap iff r <= floor(cap)
+                if cap is not None and done + 1 <= cap:
+                    assert r <= cap, (q, mode, reach)
+                    capped += 1
+    assert capped
