@@ -50,11 +50,14 @@ class PointSet(Sequence):
     builds LabeledPoint(coords[i], labels[i].item(), i) on demand.
     """
 
-    def __init__(self, coords, labels):
-        # Read-only copies: an index built from the set shares both arrays.
-        self.coords = np.array(coords, dtype=float)
+    def __init__(self, coords, labels, *, _copy=True):
+        # Read-only arrays: an index built from the set shares both. They
+        # are copies, so the caller's own stay writeable, unless a set-up
+        # stage hands over (_copy=False) the arrays it has just built.
+        copy = True if _copy else None
+        self.coords = np.array(coords, dtype=float, copy=copy)
         self.coords.flags.writeable = False
-        self.labels = np.array(labels)
+        self.labels = np.array(labels, copy=copy)
         self.labels.flags.writeable = False
         _check_labels(self.labels)
         # numpy turns numbers among strings into strings without a word.
@@ -258,43 +261,6 @@ class NeighborBuffer:
         self.keys, self.idx = keys[top], new_idx
         self.full = new_idx.size == k
         return changed
-
-    def offer_layers(self, keys: np.ndarray, idx: np.ndarray, group: np.ndarray):
-        """Offer the candidates of groups 1..g (group non-decreasing) as g offers, in one sort.
-
-        Returns (full, kth, changed, keep): whether the buffer is full and
-        its kth key (inf if not) after groups 1..j, for j = 0..g; each
-        group's offer outcome; and keep(j), which leaves the buffer as those
-        j offers would. After group j the kth entry sits at position p[j] of
-        the merged (key, index) order, and p falls just when a group changes
-        a full buffer. p is counted from the group that fills the buffer on,
-        in blocks of at most 2**14 cells, so memory stays O(k + candidates).
-        """
-        k, g = self.capacity, int(group[-1])
-        if self.full:
-            cut = keys <= self.keys[-1]
-            keys, idx, group = keys[cut], idx[cut], group[cut]
-        keys = np.concatenate([self.keys, keys])
-        idx = np.concatenate([self.idx, idx])
-        tag = np.concatenate([np.zeros(self.idx.size, dtype=group.dtype), group])
-        first = int(tag[k - 1]) if tag.size >= k else g + 1  # the group that fills the buffer
-        order = np.lexsort((idx, keys))
-        keys, idx, tag = keys[order], idx[order], tag[order]
-        p = np.full(g + 1, keys.size)
-        # From the first full group on, p never passes that group's kth entry.
-        head = tag[: (tag <= first).nonzero()[0][k - 1] + 1] if first <= g else tag
-        rows = max(1, (1 << 14) // head.size)
-        for j in range(first, g + 1, rows):
-            js = np.arange(j, min(j + rows, g + 1))
-            p[js] = (np.cumsum(head <= js[:, None], axis=1) < k).sum(axis=1)
-        full = p < keys.size
-
-        def keep(j: int) -> None:
-            top = (tag <= j).nonzero()[0][:k]
-            self.keys, self.idx = keys[top], idx[top]
-            self.full = top.size == k
-
-        return full, np.concatenate([keys, [np.inf]])[p], (p[1:] < p[:-1]) | ~full[1:], keep
 
     def labelled(self, metric: str, labels: np.ndarray) -> list[Neighbor]:
         """Retained entries with their keys as metric distances and labels[index]."""

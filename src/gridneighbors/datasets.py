@@ -66,7 +66,7 @@ def load_csv(spec: DatasetSpec) -> PointSet:
         parsed = _parse_columns(spec, ncols, label_idx)
         if parsed is None:
             parsed = _parse_rows(spec, [first, *rows], ncols, label_idx)
-    return PointSet(*parsed)
+    return PointSet(*parsed, _copy=False)
 
 
 def _label_index(spec: DatasetSpec, header: list[str] | None, ncols: int) -> int:
@@ -185,7 +185,7 @@ def split(data: PointSet, fraction: float, seed: int) -> tuple[PointSet, PointSe
         raise ValueError(f"degenerate split: {n_train}/{n - n_train} from n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     sides = perm[:n_train], perm[n_train:]
-    return tuple(PointSet(data.coords[s], data.labels[s]) for s in sides)
+    return tuple(PointSet(data.coords[s], data.labels[s], _copy=False) for s in sides)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,9 @@ class Scaler:
     scale: np.ndarray
 
     def transform(self, coords: np.ndarray) -> np.ndarray:
-        return (coords - self.shift) / self.scale
+        out = coords - self.shift
+        out /= self.scale  # in place: one (n, d) temporary, not two
+        return out
 
     def inverse_transform(self, coords: np.ndarray) -> np.ndarray:
         return coords * self.scale + self.shift
@@ -231,4 +233,4 @@ def fit_scaler(train: PointSet, kind: str) -> Scaler:
 
 
 def apply_scaler(scaler: Scaler, points: PointSet) -> PointSet:
-    return PointSet(scaler.transform(points.coords), points.labels)
+    return PointSet(scaler.transform(points.coords), points.labels, _copy=False)

@@ -21,9 +21,9 @@ whose box key exceeds the kth key cannot change the buffer and is
 skipped, the bounds-overlap-ball test of Friedman, Bentley & Finkel's
 kd-tree (ACM TOMS 1977) applied per cell. Each layer's candidates are
 offered to core.NeighborBuffer, the top-k buffer the kd-tree also fills.
-On an index of one-point cells, a slab round's points are keyed at once
-and merged with the buffer in one sort (NeighborBuffer.offer_layers),
-and the stopping rule is replayed on its per-layer results. Exploration
+A slab round whose cells each hold one point is keyed at once: guaranteed
+offers it whole and finds its stop from the merged top k, heuristic offers
+it up to the layer filling the buffer, then layer by layer. Exploration
 stops either when a full layer produces no update (heuristic, may rarely
 miss; an empty layer produces none) or when a geometric lower bound
 proves no unvisited cell can improve the result (guaranteed).
@@ -113,9 +113,9 @@ def knn_query(
     Both modes terminate once the visited layers cover every non-empty
     cell. Only occupied layers are scanned: the stopping rule is applied
     to the empty layers between them without visiting them, so the cost
-    does not grow with the query's distance from the data; on one-point
-    cells, it is replayed on a whole slab round merged at once. Returns
-    neighbors sorted by (distance, point_index), plus stats.
+    does not grow with the query's distance from the data, and a slab
+    round of one-point cells is resolved whole. Returns neighbors sorted
+    by (distance, point_index), plus stats.
 
     Raises ValueError for a NaN or infinite query, and for one so far
     from the origin (such as 1e300) that its cell id leaves +-2**62, where
@@ -139,34 +139,18 @@ def knn_query(
     cells_visited = 0
     points_scanned = 0
     last = -1  # last visited layer
-    for l, cells in _occupied_layers(index, center, k, buf, not fat):
+    for l, cells in _occupied_layers(index, center, k, buf):
         if isinstance(l, np.ndarray):
             # A whole slab round of one-point cells, l holding each row's layer.
-            opens = np.concatenate(([True], l[1:] != l[:-1]))  # a row that opens a layer
-            layers, group = l[opens], np.cumsum(opens)
-            keys = ordering_keys(q, cell_coords.take(cells, axis=1).T, metric)
-            full, kth, changed, keep = buf.offer_layers(keys, index.order[cells], group)
-            prev = np.concatenate(([last], layers))  # prev[j]: the last layer visited once j are
-            gap = full[:-1] & (layers > prev[:-1] + 1)  # empty layers after a full buffer
-            if mode == "heuristic":
-                halt = full[1:] & ~changed
-            else:
-                gap &= distances_to_keys((layers - 1) * min_width, metric) > kth[:-1]
-                halt = full[1:] & (distances_to_keys(layers * min_width, metric) > kth[1:])
-            # The layers visited: all, or those before the first stop and,
-            # unless the walk stops in the empty layers before it, its own.
-            stops = (gap | halt).nonzero()[0]
-            j = int(stops[0]) + (not gap[stops[0]]) if stops.size else layers.size
-            keep(j)
-            count = int(np.count_nonzero(group <= j))  # one point per cell
-            cells_visited += count
+            pos = offsets[cells] if fat else cells
+            keys = ordering_keys(q, cell_coords.take(pos, axis=1).T, metric)
+            resolve = _heuristic_round if mode == "heuristic" else _guaranteed_round
+            count, last, stopped = resolve(buf, l, keys, pos, index, last)
+            cells_visited += count  # one point per cell
             points_scanned += count
-            last = int(prev[j])
-            if not stops.size:
-                continue
-            if j > stops[0]:
+            if stopped:
                 break
-            l = int(layers[j])  # the walk stops in the empty layers before l, below
+            continue
         if buf.full and l > last + 1:
             # Layers last+1 .. l-1 are empty: each counts as a layer with
             # no update whose bound may already exceed the kth distance.
@@ -205,7 +189,7 @@ def knn_query(
     return buf.labelled(metric, index.labels), QueryStats(last, cells_visited, points_scanned)
 
 
-def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer | None = None, rounds=False):
+def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer | None = None):
     """Yield (l, cell rows) for each occupied layer around cell c, l ascending.
 
     Rows of one layer ascend. With a cell table and c inside the cells'
@@ -219,8 +203,8 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer
     buffer, so a heuristic walk never stops at it. Once buf is full with
     kth distance D, no round reaches past layer floor(D / min width) + 2,
     whose points are farther than D, unless it starts there. The last round
-    ends at the farthest layer. With rounds, a slab round is yielded whole:
-    (each row's layer, rows), sorted by layer.
+    ends at the farthest layer. A slab round whose cells each hold one
+    point is yielded whole, as (each row's layer, rows) sorted by layer.
     """
     cells = index.cell_array
     lo, hi = index.cell_lo, index.cell_hi
@@ -261,12 +245,59 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer
         layer = cheb[rows]
         by_layer = np.argsort(layer, kind="stable")
         rows, layer = rows[by_layer] + a, layer[by_layer]
-        if rounds:
+        if index.size == index.offsets.size - 1 or index.cell_sizes[rows].max() == 1:
             yield layer, rows
             continue
         starts = [0, *(np.flatnonzero(layer[1:] != layer[:-1]) + 1).tolist()]
         for s, e in zip(starts, [*starts[1:], rows.size]):
             yield int(layer[s]), rows[s:e]
+
+
+def _heuristic_round(buf: NeighborBuffer, l: np.ndarray, keys: np.ndarray, pos: np.ndarray, index: GridIndex, last: int):
+    """Offer a slab round of one-point cells, layers l ascending, as the heuristic walk would.
+
+    Returns (rows visited, last layer visited, whether the walk stops).
+    The rule cannot stop while the buffer is not full, so the rows up to
+    the layer that fills it go in one offer. The walk then takes the next
+    layers one by one and stops at the first empty one or the first that
+    brings no update; offer turns a layer away whole when no key in it
+    reaches the kth key.
+    """
+    j = 0
+    if not buf.full:
+        need = buf.capacity - len(buf)
+        j = l.size if need > l.size else int(np.searchsorted(l, l[need - 1], "right"))
+        buf.offer(keys[:j], pos[:j], index.order)
+        last = int(l[j - 1])
+    while buf.full and j < l.size:
+        m = int(l[j])
+        if m > last + 1:
+            return j, last + 1, True
+        e = int(np.searchsorted(l, m, "right"))
+        if not buf.offer(keys[j:e], pos[j:e], index.order):
+            return e, m, True
+        j, last = e, m
+    return j, int(l[-1]), False
+
+
+def _guaranteed_round(buf: NeighborBuffer, l: np.ndarray, keys: np.ndarray, pos: np.ndarray, index: GridIndex, last: int):
+    """Offer a slab round of one-point cells as the guaranteed walk would; as _heuristic_round.
+
+    One offer leaves the buffer as T, the top k of it and the round. Once
+    T is full, no layer below that of the last row keyed <= T's kth key can
+    stop the walk: that key is <= the kth key there and >= the bound of
+    every layer below the row's. From that layer on the buffer is T, so the
+    stop is the first layer whose bound exceeds T's kth key; one past the
+    round's last row is left to the next round or the walk's end.
+    """
+    buf.offer(keys, pos, index.order)
+    if buf.full:
+        kth = buf.keys[-1]
+        first = max(int(np.max(l, initial=last, where=keys <= kth)), last + 1)
+        stop = _first_bound_past(first, int(l[-1]), index.min_width, index.metric, kth)
+        if stop is not None:
+            return int(np.searchsorted(l, stop, "right")), stop, True
+    return l.size, int(l[-1]), False
 
 
 def _positions(offsets: np.ndarray, cells: np.ndarray):

@@ -8,6 +8,7 @@ collected in one run.
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -38,6 +39,28 @@ def as_pairs(neighbors):
 def held(buf):
     """A NeighborBuffer's retained (key, index) pairs, ascending."""
     return list(zip(buf.keys.tolist(), buf.idx.tolist()))
+
+
+def c_calls(fn, *args):
+    """fn(*args) and the C functions or methods it called from Python code.
+
+    The profiler sees every such call, so the count pins a query's fixed
+    cost, mostly calls into numpy, without timing noise. The count includes
+    the call that restores the previous profiler.
+    """
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 def _header(data: bytes) -> tuple[dict, int]:

@@ -1,11 +1,10 @@
 import signal
-import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from helpers import as_pairs, clustered, uniform
+from helpers import as_pairs, c_calls, clustered, uniform
 from gridneighbors import (
     GridParams,
     brute_build,
@@ -216,9 +215,7 @@ class TestQueryBoundaries:
 
 def test_a_one_cell_query_stays_within_its_call_budget():
     # A query's fixed cost is mostly calls into numpy, about 2-3 us each.
-    # The profiler counts every call into a C function or method made from
-    # Python code; the count pins that cost without timing noise. One
-    # guaranteed query on a one-cell index made 65 such calls before the
+    # One guaranteed query on a one-cell index made 65 C calls before the
     # cell table and makes 32 with it, under numpy 2.4; the budget is 25%
     # over that. The first query builds the index's lazy arrays.
     rng = np.random.default_rng(5)
@@ -226,17 +223,23 @@ def test_a_one_cell_query_stays_within_its_call_budget():
     index = build(points_from_arrays(X, np.arange(20) % 3), params=GridParams([1.0] * 3, [0.0] * 3, [1] * 3))
     q = np.array([0.5, 0.4, 0.6])
     knn_query(index, q, 3, "guaranteed")
-    calls = []
-
-    def count(frame, event, arg):
-        if event == "c_call":
-            calls.append(arg)
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        got, stats = knn_query(index, q, 3, "guaranteed")
-    finally:
-        sys.setprofile(previous)
+    (got, stats), calls = c_calls(knn_query, index, q, 3, "guaranteed")
     assert (stats.layers_visited, stats.cells_visited, stats.points_scanned) == (0, 1, 20)
     assert len(calls) <= 40, [getattr(f, "__qualname__", f) for f in calls]
+
+
+def test_a_one_point_cell_query_stays_within_its_call_budget():
+    # 20,000 uniform 3-d points under the paper fit, one kept per cell: a
+    # k = 10 guaranteed query resolves its one slab round from one offer.
+    # It makes 59 C calls under numpy 2.4; the budget is 25% over that.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 100, (20_000, 3))
+    fitted = build(points_from_arrays(X, np.zeros(len(X))))
+    X = X[fitted.order[fitted.offsets[:-1]]]
+    index = build(points_from_arrays(X, np.arange(len(X)) % 3), params=fitted.params)
+    assert index.size == index.offsets.size - 1
+    q = X[7] + 0.1
+    knn_query(index, q, 10, "guaranteed")
+    (got, stats), calls = c_calls(knn_query, index, q, 10, "guaranteed")
+    assert len(got) == 10 and stats.layers_visited > 2
+    assert len(calls) <= 73, [getattr(f, "__qualname__", f) for f in calls]

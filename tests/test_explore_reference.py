@@ -409,21 +409,25 @@ def _spy(monkeypatch, owner, name, calls):
 
 def test_a_thin_round_is_merged_once_and_fat_layers_are_box_tested_one_by_one(monkeypatch, rng):
     merges, offers, boxes = [], [], []
-    _spy(monkeypatch, NeighborBuffer, "offer_layers", merges)
+    _spy(monkeypatch, explore, "_guaranteed_round", merges)
     _spy(monkeypatch, NeighborBuffer, "offer", offers)
     _spy(monkeypatch, explore, "_box_keys", boxes)
 
     # One-point cells: a k = 10 query visits dozens of occupied layers in
-    # one or two slab rounds, each merged once, and offers nothing alone.
+    # one or two slab rounds, each merged once by one offer of all its
+    # rows, and offers no layer alone.
     index, X = _thin_index(rng, 2000, 3, "euclidean")
     q = X[5] + 0.1
     got, stats = knn_query(index, q, 10, "guaranteed")
     cheb = np.abs(index.cell_array - np.floor(q / index.params.widths)).max(axis=1)
     occupied = np.unique(cheb[cheb <= stats.layers_visited]).size
-    assert 1 <= len(merges) < occupied and not offers and not boxes
+    assert 1 <= len(merges) < occupied and not boxes
+    assert len(offers) == len(merges) and np.unique(merges[0][1]).size > 1
+    assert all(np.array_equal(pos, rows) for (_, _, pos, _), (_, _, _, rows, _, _) in zip(offers, merges))
     assert _answer(got, stats) == _answer(*reference_knn_query(BucketIndex(index), q, 10, "guaranteed"))
 
-    # Fat cells: no merge; each box test covers the cells of one layer.
+    # Fat cells: only a round of one-point cells (the outlier's own) is
+    # merged; each box test covers the cells of one layer.
     merges.clear()
     X = _fat_cells(rng, 3)
     params = GridParams(np.full(3, 5.0), X.min(axis=0), np.ones(3, dtype=np.int64))
@@ -432,7 +436,8 @@ def test_a_thin_round_is_merged_once_and_fat_layers_are_box_tested_one_by_one(mo
     got, stats = knn_query(fat, q, 5, "guaranteed")
     center = np.floor(q / fat.params.widths)
     layers = [np.unique(np.abs(fat.cell_array[cells] - center).max(axis=1)) for _, _, cells in boxes]
-    assert not merges and len(boxes) >= 2
+    one_point = fat.offsets[:-1][fat.cell_sizes == 1]
+    assert all(np.isin(pos, one_point).all() for _, _, _, pos, _, _ in merges) and len(boxes) >= 2
     assert all(l.size == 1 for l in layers) and len({int(l[0]) for l in layers}) == len(layers)
     assert _answer(got, stats) == _answer(*reference_knn_query(BucketIndex(fat), q, 5, "guaranteed"))
 
@@ -477,3 +482,125 @@ def test_a_full_buffer_caps_the_slab_rounds(monkeypatch, rng, metric):
                     assert r <= cap, (q, mode, reach)
                     capped += 1
     assert capped
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_mostly_thin_index_merges_its_one_point_rounds(monkeypatch, rng, metric):
+    # One-point cells, then a second point in 1 cell of every 200: a round
+    # of one-point cells is still merged whole, with its positions read
+    # from the CSR offsets, and a round meeting a shared cell is read layer
+    # by layer.
+    thin, X = _thin_index(rng, 2000, 2, metric)
+    widths = thin.params.widths
+    Y = (np.floor(X[::200] / widths) + rng.uniform(0.1, 0.9, X[::200].shape)) * widths
+    X = np.vstack([X, Y])
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=thin.params)
+    assert index.offsets.size - 1 == thin.size < index.size and index.cell_table is None
+    merges = []
+    _spy(monkeypatch, explore, "_guaranteed_round", merges)
+    _spy(monkeypatch, explore, "_heuristic_round", merges)
+    queries = [X[i] + rng.normal(0, 0.5, 2) for i in rng.integers(0, len(X), 4)] + list(Y[:2] + 0.01)
+    queries.append(_far(rng, X, widths, 1)[0])
+    ks = [1, 10, index.size]
+    _assert_same(index, queries, ks)
+    _assert_brute(index, queries, ks)
+    one_point = index.offsets[:-1][index.cell_sizes == 1]
+    assert merges and all(np.isin(pos, one_point).all() for _, _, _, pos, _, _ in merges)
+    # Each round is merged once: within one query, no row is merged twice.
+    merges.clear()
+    knn_query(index, queries[0], 10, "guaranteed")
+    merged = np.concatenate([pos for _, _, _, pos, _, _ in merges])
+    assert merges and np.unique(merged).size == merged.size
+
+
+def _two_blocks(rng, shared):
+    """A jittered 12 x 12 one-point lattice of width-1 cells and a 4 x 4 one 200 cells to its right.
+
+    With shared, one cell of the right block holds a second point, so
+    its round is read layer by layer.
+    """
+    grid = lambda side: np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2) + 0.5
+    X = np.vstack([grid(12), grid(4) + [200.0, 4.0]])
+    X += rng.uniform(-0.3, 0.3, X.shape)
+    if shared:
+        X = np.vstack([X, X[-1] + 0.1])
+    return X
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_guaranteed_round_stops_inside_before_and_after_its_rows(monkeypatch, rng, metric):
+    # A round of one-point cells resolves its stop from its merged top k.
+    # The stop falls inside a round's rows (a query in the left block), in
+    # the empty layers after a round's last row (k = 144 covers the left
+    # block, whose farthest point lies beyond its last layer), and there
+    # before the next round's first row, where the top k comes wholly from
+    # earlier rounds; with a shared cell on the right, that next round's
+    # gap check finds it layer by layer.
+    resolve = explore._guaranteed_round
+    rounds, seen = [], set()
+
+    def spy(buf, l, *rest):
+        count, last, stopped = resolve(buf, l, *rest)
+        rounds.append((int(l[0]), int(l[-1]), last if stopped else None))
+        return count, last, stopped
+
+    monkeypatch.setattr(explore, "_guaranteed_round", spy)
+    queries = [np.array([6.0, 6.1]), np.array([0.2, 0.3]), np.array([11.7, 11.9]), np.array([30.0, 6.0]), np.array([100.0, 5.0])]
+    for shared in (False, True):
+        X = _two_blocks(rng, shared)
+        index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+        assert index.cell_table is None and (index.size > index.offsets.size - 1) == shared
+        ks = [1, 10, 144, index.size]
+        _assert_same(index, queries, ks)
+        _assert_brute(index, queries, ks)
+        for q in queries:
+            cheb = np.abs(index.cell_array - np.floor(q)).max(axis=1)
+            for k in ks:
+                rounds.clear()
+                last = knn_query(index, q, k, "guaranteed")[1].layers_visited
+                for first_row, last_row, stop in rounds:
+                    if stop is not None:
+                        seen.add("inside" if first_row <= stop else "before a round's first row")
+                    elif last_row < last and not ((cheb > last_row) & (cheb <= last)).any():
+                        seen.add(f"after a round's last row, shared={shared}")
+    assert seen == {"inside", "before a round's first row", "after a round's last row, shared=False",
+                    "after a round's last row, shared=True"}
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_round_cannot_stop_below_the_layer_of_its_kth_row(metric):
+    # floor(p / w) is 17 although p lies a few ulps below 17 * w, and q's
+    # cell is 14 although q lies within an ulp of 15 * w: p is three layers
+    # out, yet nearer to q than the layer-2 bound 2 * w. Started below
+    # layer 3, the search for the first bound past the kth key would stop
+    # at layer 2, before p's layer, where the reference walk does not.
+    p, q, w = 12.55726279226678, 11.079937757882453, 0.7386625171921636
+    assert np.floor(p / w) == 17 and np.floor(q / w) == 14 and p - q < 2 * w
+    index = build(points_from_arrays(np.array([[p]]), [0]), metric, params=GridParams([w], [0.0], [1]))
+    _assert_same(index, [np.array([q])], [1])
+    assert knn_query(index, [q], 1, "guaranteed")[1] == explore.QueryStats(3, 1, 1)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_heuristic_rounds_walk_on_past_the_fill_layer(monkeypatch, rng, metric):
+    # A jittered one-point lattice has every near layer occupied, so after
+    # the offer that fills the buffer the heuristic walk offers the next
+    # layers one by one until one brings no update. A far outlier leaves
+    # the index without a cell table, so every layer comes from rounds.
+    g = np.stack(np.meshgrid(np.arange(30), np.arange(30)), -1).reshape(-1, 2) + 0.5
+    X = np.vstack([g + rng.uniform(-0.3, 0.3, g.shape), [[400.5, 0.5]]])
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+    assert index.cell_table is None and index.size == index.offsets.size - 1
+    queries = [np.array([15.0, 15.0]), np.array([0.1, 29.9]), np.array([7.3, 21.6]), np.array([-5.0, 12.0])]
+    ks = [1, 10, 50, index.size]
+    _assert_same(index, queries, ks)
+    _assert_brute(index, queries, ks)
+    offers = []
+    _spy(monkeypatch, NeighborBuffer, "offer", offers)
+    walked = 0
+    for q in queries:
+        for k in ks[:3]:
+            offers.clear()
+            knn_query(index, q, k, "heuristic")
+            walked = max(walked, len(offers))
+    assert walked >= 2  # the fill, then at least one layer alone

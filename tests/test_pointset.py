@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -201,3 +202,40 @@ def test_set_up_chain_builds_no_labeled_point(monkeypatch):
     expected = brute_knn(brute, q, 3)
     assert knn_query(index, q, 3, "guaranteed")[0] == expected
     assert kdtree_knn(tree, q, 3) == expected
+
+
+def test_caller_input_is_copied_and_stays_writeable(rng):
+    X = rng.normal(size=(30, 2))
+    y = rng.integers(0, 3, 30)
+    pts = points_from_arrays(X, y)
+    for mine, held in ((X, pts.coords), (y, pts.labels)):
+        assert mine.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(mine, held)
+    # A stage's result is a new read-only set over arrays of its own.
+    train, test = split(pts, 0.7, seed=3)
+    scaled = apply_scaler(fit_scaler(train, "standard"), train)
+    for out in (train, test, scaled):
+        assert not out.coords.flags.writeable and not out.labels.flags.writeable
+        assert not np.shares_memory(out.coords, X) and not np.shares_memory(out.coords, pts.coords)
+    assert not np.shares_memory(scaled.coords, train.coords)
+    assert X.flags.writeable and y.flags.writeable
+
+
+@pytest.mark.parametrize("stage", ["split", "apply_scaler"])
+def test_a_stage_allocates_its_result_once(rng, stage):
+    # split and apply_scaler hand the arrays they build to their PointSet
+    # uncopied, and the scaler divides in place. Above its base, split
+    # peaks at about 1.25 times the input's coords and labels (its shuffle
+    # included) and apply_scaler at 0.9; a second copy of each result
+    # would take them to about 1.8 and 1.9.
+    pts = points_from_arrays(rng.normal(size=(20_000, 4)), rng.integers(0, 3, 20_000))
+    scaler = fit_scaler(pts, "standard")
+    run = {"split": lambda: split(pts, 0.5, seed=1), "apply_scaler": lambda: apply_scaler(scaler, pts)}[stage]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (pts.coords.nbytes + pts.labels.nbytes), peak
