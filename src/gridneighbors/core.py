@@ -244,10 +244,10 @@ class NeighborBuffer:
             if not keep.any():
                 return False
             keys, idx = keys[keep], idx[keep]
-        if keys.size > k:
+        if keys.size > 8 * k:
             # Nor can a key worse than k of the new ones. Every tie of their
             # kth key survives, so the lexsort still breaks ties toward the
-            # lower index.
+            # lower index. Up to 8k candidates, one lexsort of all costs less.
             keep = keys <= np.partition(keys, k - 1)[k - 1]
             keys, idx = keys[keep], idx[keep]
         if lookup is not None:

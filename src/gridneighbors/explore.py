@@ -5,11 +5,11 @@ Starting from the query's central cell, cells are visited layer by layer
 occupied layers are scanned. When the query's cell lies inside a dense
 cell box (GridIndex.cell_table), layers 0-2 come from the table, the
 paper's hashed cell lookup as a direct-address table: layer 0 is one
-read, layer l a cached stencil of key offsets, one gather and one mask.
-Every other layer, and every layer of a query outside the box or of an
-index too sparse for a table, comes from slab rounds: each round
-binary-searches the sorted cell ids for a slab around the query,
-computes the layer of the cells in it and visits them in increasing
+read, layer l a cached stencil of key offsets, one gather and one mask;
+with a full buffer an empty one is visited too. All other layers come
+from slab rounds: each round binary-searches GridIndex.cell_cols, the
+cell ids less the box corner in a narrow dtype, for a slab around the
+query, computes the layer of the cells in it and visits them in increasing
 layer order. The first round spans a cube expected to hold about 8k
 points and each later one doubles, but once the buffer is full with kth
 distance D, a round that starts below layer floor(D / min width) + 2
@@ -162,7 +162,7 @@ def knn_query(
                 last = stop
                 break
         cells_visited += int(cells.size)
-        count = None  # the layer's points, counted here only for the box test
+        count = 0  # the layer's points, counted here first for the box test
         if buf.full and fat:
             count = int(np.add.reduce(index.cell_sizes[cells]))
             if count > cells.size:
@@ -176,8 +176,7 @@ def knn_query(
             block = cell_coords[:, pos] if isinstance(pos, slice) else cell_coords.take(pos, axis=1)
             keys = ordering_keys(q, block.T, metric)
             changed = buf.offer(keys, pos, index.order)
-            if count is None:
-                count = keys.size
+            count = count or keys.size
         points_scanned += count
         last = l
         if buf.full:
@@ -193,10 +192,11 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer
     """Yield (l, cell rows) for each occupied layer around cell c, l ascending.
 
     Rows of one layer ascend. With a cell table and c inside the cells'
-    box, layers 0.._TABLE_PAD come from the table. The other layers
-    are found in rounds covering l in (done, r]: binary search on the
-    sorted first cell coordinate bounds a round to the slab
-    |c0 - center0| <= r, and r grows by a doubling step. The first round
+    box, layers 0.._TABLE_PAD come from the table, an empty one too once
+    buf is full. The other layers are found in rounds covering l in
+    (done, r]: binary search on index.cell_cols[0] bounds a round to the
+    slab |c0 - center0| <= r, whose cells' layers come from the rows of
+    cell_cols, and r grows by a doubling step. The first round
     starts at the nearest layer the cells' bounding box allows and spans a
     cube that would hold about 8k points if they filled the box evenly, but
     at least two layers: the first occupied layer always changes the empty
@@ -206,10 +206,9 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer
     ends at the farthest layer. A slab round whose cells each hold one
     point is yielded whole, as (each row's layer, rows) sorted by layer.
     """
-    cells = index.cell_array
     lo, hi = index.cell_lo, index.cell_hi
-    near = max(max(a - x, x - b, 0) for x, a, b in zip(c, lo, hi))
-    far = max(max(x - a, b - x) for x, a, b in zip(c, lo, hi))
+    gaps = [max(a - x, x - b, 0) for x, a, b in zip(c, lo, hi)]
+    near, far = max(gaps), max(max(x - a, b - x) for x, a, b in zip(c, lo, hi))
     done = near - 1
     if near == 0 and index.cell_table is not None:
         table, base, strides, stencils = index.cell_table
@@ -220,31 +219,39 @@ def _occupied_layers(index: GridIndex, c: list[int], k: int, buf: NeighborBuffer
         for l, offs in enumerate(stencils[:far], 1):
             rows = table[offs + key]
             rows = rows[rows >= 0]
-            if rows.size:
+            if rows.size or (buf is not None and buf.full):
                 yield l, rows
         done = len(stencils)
     if done < far:
         log_side = math.log(k / index.size) + sum(math.log(b - a + 1) for a, b in zip(lo, hi))
         step = max(2, int(math.exp(log_side / len(c))))
+        cols, x0 = index.cell_cols, c[0] - lo[0]
+        t = cols.dtype.type  # search keys of that dtype: a Python int would cast all of cols[0]
+        # A row's layer less near is max_j |col_j - clamp_j| + gap_j - near; raised to
+        # minus the side, a term cannot win the max, so every term fits the dtype.
+        clamp = np.array([[min(max(x - a, 0), b - a)] for x, a, b in zip(c, lo, hi)], cols.dtype)
+        lift = np.array([[max(g - near, a - b - 1)] for g, a, b in zip(gaps, lo, hi)], cols.dtype) if near else None
     while done < far:
         r = min(done + step, far)
         if buf is not None and buf.full:
-            cap = keys_to_distances(buf.keys[-1], index.metric) / index.min_width + 2
+            # A Python float: numpy would round done + 1 to a float past 2**53.
+            cap = float(keys_to_distances(buf.keys[-1], index.metric)) / index.min_width + 2
             if done + 1 <= cap < r:
                 r = int(cap)
-        a = int(np.searchsorted(cells[:, 0], max(c[0] - r, lo[0]), side="left"))
-        b = int(np.searchsorted(cells[:, 0], min(c[0] + r, hi[0]), side="right"))
-        slab = cells[a:b]
-        cheb = np.abs(slab[:, 0] - c[0])
-        for j in range(1, slab.shape[1]):
-            np.maximum(cheb, np.abs(slab[:, j] - c[j]), out=cheb)
-        rows = np.flatnonzero((cheb > done) & (cheb <= r))
+        a = int(np.searchsorted(cols[0], t(max(x0 - r, 0)), side="left"))
+        b = int(np.searchsorted(cols[0], t(min(x0 + r, hi[0] - lo[0])), side="right"))
+        slab = np.subtract(cols[:, a:b], clamp)
+        np.abs(slab, out=slab)
+        if lift is not None:
+            slab += lift
+        cheb = np.maximum.reduce(slab, axis=0)
+        rows = (cheb <= r - near if done < near else (cheb > done - near) & (cheb <= r - near)).nonzero()[0]
         done, step = r, 2 * step
         if rows.size == 0:
             continue
         layer = cheb[rows]
-        by_layer = np.argsort(layer, kind="stable")
-        rows, layer = rows[by_layer] + a, layer[by_layer]
+        by_layer = layer.argsort(kind="stable")
+        rows, layer = rows[by_layer] + a, layer[by_layer] + np.int64(near)  # int64: searched with Python ints
         if index.size == index.offsets.size - 1 or index.cell_sizes[rows].max() == 1:
             yield layer, rows
             continue
@@ -293,10 +300,11 @@ def _guaranteed_round(buf: NeighborBuffer, l: np.ndarray, keys: np.ndarray, pos:
     buf.offer(keys, pos, index.order)
     if buf.full:
         kth = buf.keys[-1]
-        first = max(int(np.max(l, initial=last, where=keys <= kth)), last + 1)
+        reached = l[keys <= kth]  # every layer of a round lies past last
+        first = int(reached[-1]) if reached.size else last + 1
         stop = _first_bound_past(first, int(l[-1]), index.min_width, index.metric, kth)
         if stop is not None:
-            return int(np.searchsorted(l, stop, "right")), stop, True
+            return int(l.searchsorted(stop, "right")), stop, True
     return l.size, int(l[-1]), False
 
 

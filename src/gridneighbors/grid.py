@@ -176,14 +176,14 @@ class GridIndex:
     CSR ("compressed sparse row") is three arrays: cell_array holds the ids
     of the non-empty cells, sorted lexicographically; order holds the point
     indices sorted by cell, input order kept inside each cell; and the
-    points of cell i are order[offsets[i]:offsets[i + 1]]. The query walks
-    these arrays directly, save_index writes them as they are, and
-    cell_points reads a cell's points from them; there is no other view of
-    the cells. The query reads cell i's coordinates as the contiguous
-    columns offsets[i]:offsets[i + 1] of cell_coords, which its first call
-    builds, its near cells from cell_table and, once a layer holds more
-    points than cells, each cell's bounding box from cell_boxes. coords and
-    labels are the PointSet's read-only arrays.
+    points of cell i are order[offsets[i]:offsets[i + 1]]. save_index
+    writes these arrays as they are and cell_points reads a cell's points
+    from them; the query reads lazy views, never saved: cell i's
+    coordinates as the columns offsets[i]:offsets[i + 1] of cell_coords,
+    which its first call builds, its near cells from cell_table, a slab
+    round's cells from cell_cols and, once a layer holds more points than
+    cells, each cell's bounding box from cell_boxes. coords and labels are
+    the PointSet's read-only arrays.
     """
 
     params: GridParams
@@ -231,6 +231,18 @@ class GridIndex:
         for box in boxes:
             box.flags.writeable = False
         return boxes
+
+    @cached_property
+    def cell_cols(self) -> np.ndarray:
+        """Read-only (d, C) cell_array - cell_lo for slab rounds, one row per dimension; never saved.
+
+        Its dtype is the narrowest of int16, int32 and int64 that holds +-side, the box's longest side.
+        """
+        side = max(b - a for a, b in zip(self.cell_lo, self.cell_hi)) + 1
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if side <= np.iinfo(t).max)
+        cols = (self.cell_array - self.cell_lo).T.astype(dtype, order="C")
+        cols.flags.writeable = False
+        return cols
 
     @cached_property
     def cell_sizes(self) -> np.ndarray:

@@ -168,3 +168,31 @@ class TestNeighborBuffer:
             after = held(buf)
             assert changed == (before != after)
             assert after == _oracle_topk(list(zip(keys[:b], ids[:b].tolist())), k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_8k_candidates_sort_whole_and_more_are_prefiltered(self, monkeypatch, rng, k, extra, full):
+        # Up to 8k candidates go to one lexsort; past that, np.partition
+        # first drops the keys worse than their kth. Keys 0..3 tie often,
+        # the kth key among them, so the ties must break toward the lower
+        # point index either way. Point indices come through a lookup.
+        m = 8 * k + extra
+        keys = rng.integers(0, 4, m).astype(float)
+        lookup = rng.permutation(10 * m)
+        pos = rng.permutation(10 * m)[:m]
+        pushes = []
+        buf = NeighborBuffer(k)
+        if full:
+            pushes = [(2.0, int(i)) for i in lookup[-k:]]
+            buf.offer(np.full(k, 2.0), np.arange(10 * m - k, 10 * m), lookup)
+        partitions = []
+        partition = np.partition
+        monkeypatch.setattr(np, "partition", lambda *args: partitions.append(1) or partition(*args))
+        before = held(buf)
+        changed = buf.offer(keys, pos, lookup)
+        want = _oracle_topk(pushes + list(zip(keys.tolist(), lookup[pos].tolist())), k)
+        assert held(buf) == want and changed == (before != want)
+        assert (keys == sorted(keys.tolist())[k - 1]).sum() > 1  # the kth key ties
+        survivors = int((keys <= 2.0).sum()) if full else m  # a full buffer first drops keys past its kth
+        assert len(partitions) == (survivors > 8 * k)

@@ -4,6 +4,7 @@ Both must return the same neighbors (distance, index, label) and the same
 QueryStats, in both modes and for every metric.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,31 @@ def test_queries_far_outside_the_data(rng, metric):
         X = rng.uniform(-5, 5, (n, d))
         index = build(points_from_arrays(X, rng.integers(0, 3, n)), metric)
         _assert_same(index, _far(rng, X, index.params.widths, 2), _ks(n))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_queries_outside_the_box_in_every_dimension(rng, metric):
+    # Slab rounds compute a row's layer from cell ids less the box corner,
+    # with the query's cell clamped into the box: every sign of every
+    # dimension's excess, on fat cells with far outliers and on one-point
+    # cells just inside the +-2**62 bound.
+    X = _fat_cells(rng, 3)
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric,
+                  params=GridParams(np.full(3, 5.0), X.min(axis=0), np.ones(3, dtype=np.int64)))
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    signs = np.array(list(itertools.product([-1, 1], repeat=3)))
+    queries = list(np.where(signs > 0, hi, lo) + signs * rng.uniform(1, 60, signs.shape))
+    _assert_same(index, queries, [1, 5, 25])
+    _assert_brute(index, queries, [1, 5, 25])
+    for sign in (1, -1):
+        big = sign * (2.0**62 - 512 * np.arange(8, 16))  # floats near 2**62 lie 512 apart
+        Y = np.stack(np.meshgrid(big, np.arange(8) + 0.5), -1).reshape(-1, 2)
+        near = build(points_from_arrays(Y, rng.integers(0, 3, len(Y))), metric,
+                     params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 8]))
+        assert near.cell_cols.dtype == np.int16
+        queries = [np.array([big.max() + 1024, -3.2]), np.array([big.min() - 2048, 12.5])]
+        _assert_same(near, queries, [1, 10, len(Y)])
+        _assert_brute(near, queries, [1, 10, len(Y)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +295,27 @@ def test_near_layers_in_a_dense_box_skip_the_slab_search(monkeypatch, rng):
                    params=GridParams([1.0, 1.0], [0.0, 0.0], [41, 1]))
     assert sparse.cell_table is None
     assert walk(sparse, [0, 0])[0][2] > 0
+
+
+def test_an_empty_table_layer_ends_a_heuristic_walk_without_a_slab_round(monkeypatch, rng):
+    # Width-1 cells: 3 points on the far side of the query's cell, one
+    # point in each cell of layer 1, an empty layer 2 and a ring of points
+    # on layer 5, whose box keeps the table. Layer 1 changes the full
+    # buffer, and the empty layer 2 brings no update, so the walk stops there.
+    ring = [(x, y) for x in range(5, 16) for y in range(5, 16) if max(abs(x - 10), abs(y - 10)) == 5]
+    X = np.array([[10.05, 10.05], [10.05, 10.5], [10.05, 10.95]]
+                 + [[10.5 + 0.6 * dx, 10.5 + 0.6 * dy] for dx, dy in itertools.product([-1, 0, 1], repeat=2) if dx or dy]
+                 + [[x + 0.5, y + 0.5] for x, y in ring])
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+    assert index.cell_table is not None
+    q = np.array([10.9, 10.5])
+    for metric in METRICS:
+        index = build(points_from_arrays(X, index.labels), metric, params=index.params)
+        calls = _count_slab_searches(monkeypatch)
+        got, stats = knn_query(index, q, 3, "heuristic")
+        assert not calls and stats.layers_visited == 2
+        monkeypatch.undo()
+        _assert_same(index, [q, q - 0.3], [3, 9])
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -449,7 +496,8 @@ def test_a_full_buffer_caps_the_slab_rounds(monkeypatch, rng, metric):
     # walk often needs a second round. Once the buffer is full with kth
     # distance D, a round starting below layer floor(D / min width) + 2 must
     # end there. A corner clips the slab search on one side only, so the
-    # other side gives the round's reach.
+    # other side gives the round's reach. The search runs over cell_cols,
+    # so its bounds count from the cells' box corner cell_lo.
     index, X = _thin_index(rng, 2000, 3, metric)
     buffers, rounds = [], []
 
@@ -474,7 +522,7 @@ def test_a_full_buffer_caps_the_slab_rounds(monkeypatch, rng, metric):
             rounds.clear()
             want = reference_knn_query(BucketIndex(index), q, 10, mode)
             assert _answer(*knn_query(index, q, 10, mode)) == _answer(*want)
-            c0 = int(np.floor(q[0] / index.params.widths[0]))
+            c0 = int(np.floor(q[0] / index.params.widths[0])) - index.cell_lo[0]
             reach = [max(c0 - left, right - c0) for (_, left, _), (_, right, _) in zip(rounds[::2], rounds[1::2])]
             for done, r, (_, _, dist) in zip(reach, reach[1:], rounds[2::2]):
                 cap = None if dist is None else dist / index.min_width + 2  # r <= cap iff r <= floor(cap)

@@ -10,6 +10,8 @@ import pytest
 import gridneighbors
 from gridneighbors import (
     GridParams,
+    brute_build,
+    brute_knn,
     build,
     cell_points,
     classify,
@@ -24,6 +26,8 @@ from gridneighbors import (
 from gridneighbors import grid
 from gridneighbors.grid import _MAGIC, _SPLIT_BLOCK, _max_splits_1d
 from helpers import regions, rewrite_index
+from reference_knn import BucketIndex
+from reference_knn import knn_query as reference_knn_query
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "index_v1.ghn"
@@ -380,6 +384,61 @@ class TestCellBoxes:
             for mode in ("heuristic", "guaranteed"):
                 knn_query(index, q, 4, mode)
         assert "cell_boxes" not in vars(index)
+
+
+class TestCellCols:
+    def test_cell_ids_less_the_box_corner_one_row_per_dimension(self, rng):
+        for d in (1, 2, 4):
+            X = rng.normal(0, 3, (300, d)) - 40
+            index = build(points_from_arrays(X, [0] * 300))
+            cols = index.cell_cols
+            assert cols.shape == (d, len(index.cell_array)) and cols.flags.c_contiguous
+            for j in range(d):
+                assert cols[j].tolist() == (index.cell_array[:, j] - index.cell_lo[j]).tolist()
+
+    @pytest.mark.parametrize(
+        "side, dtype", [(2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)]
+    )
+    def test_narrowest_dtype_that_holds_the_box(self, side, dtype):
+        # Width-1 cells 0 .. side - 1 in the first dimension and one cell in
+        # the second. The queries lie inside the box at its far edge, and
+        # outside it past each end, in both dimensions, and 40,000 cells out
+        # in the second, which for the int16 box is more than its side.
+        X = np.array([[0.5, 0.5], [side - 0.5, 0.5], [side // 2 + 0.5, 0.5]])
+        index = build(points_from_arrays(X, [0, 1, 2]), params=GridParams([1.0, 1.0], [0.0, 0.0], [side, 1]))
+        assert index.cell_hi[0] - index.cell_lo[0] + 1 == side and index.cell_table is None
+        assert index.cell_cols.dtype == dtype
+        assert index.cell_cols.tolist() == (index.cell_array - index.cell_lo).T.tolist()
+        queries = [[side - 0.7, 0.5], [side + 5.5, 0.5], [-6.5, 3.5], [side // 2 + 0.2, 40_000.5]]
+        ref = BucketIndex(index)
+        bi = brute_build(points_from_arrays(X, [0, 1, 2]))
+        for q in queries:
+            for mode in ("heuristic", "guaranteed"):
+                got, stats = knn_query(index, q, 1, mode)
+                want, want_stats = reference_knn_query(ref, q, 1, mode)
+                assert ([(n.distance, n.point_index) for n in got], stats) == ([(n.distance, n.point_index) for n in want], want_stats)
+            for k in (1, 2, 3):
+                got = knn_query(index, q, k, "guaranteed")[0]
+                assert [(n.distance, n.point_index) for n in got] == [(b.distance, b.point_index) for b in brute_knn(bi, q, k)]
+
+    def test_read_only_built_by_a_slab_round_and_never_saved(self, rng, tmp_path):
+        X = rng.uniform(0, 100, (400, 2))  # far more cells than 8n: no table, every layer from slab rounds
+        index = build(points_from_arrays(X, rng.integers(0, 3, 400)))
+        assert index.cell_table is None
+        save_index(index, tmp_path / "a.ghn")
+        assert "cell_cols" not in vars(index)
+        knn_query(index, X[0], 3)
+        cols = vars(index)["cell_cols"]
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1
+        save_index(index, tmp_path / "b.ghn")
+        loaded = load_index(tmp_path / "b.ghn")
+        assert "cell_cols" not in vars(loaded)
+        knn_query(loaded, X[1] + 0.01, 5, "guaranteed")
+        assert np.array_equal(vars(loaded)["cell_cols"], cols) and loaded.cell_cols.dtype == cols.dtype
+        save_index(loaded, tmp_path / "c.ghn")
+        assert (tmp_path / "a.ghn").read_bytes() == (tmp_path / "b.ghn").read_bytes() == (tmp_path / "c.ghn").read_bytes()
 
 
 class TestCellTable:
