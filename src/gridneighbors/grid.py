@@ -183,7 +183,8 @@ class GridIndex:
     which its first call builds, its near cells from cell_table, a slab
     round's cells from cell_cols and, once a layer holds more points than
     cells, each cell's bounding box from cell_boxes. coords and labels are
-    the PointSet's read-only arrays.
+    the PointSet's read-only arrays. cell_lo and cell_hi, the cells' box,
+    are lists of Python ints.
     """
 
     params: GridParams
@@ -197,8 +198,9 @@ class GridIndex:
     def __post_init__(self) -> None:
         # Bounding box of the non-empty cells: a query's first and last
         # occupied layers are bounded by its Chebyshev distance to it.
-        self.cell_lo = self.cell_array.min(axis=0).tolist()
-        self.cell_hi = self.cell_array.max(axis=0).tolist()
+        # One pass per column: a reduction across the rows is 10x slower.
+        self.cell_lo = [int(col.min()) for col in self.cell_array.T]
+        self.cell_hi = [int(col.max()) for col in self.cell_array.T]
         self.min_width = float(self.params.widths.min())
 
     @property
@@ -293,7 +295,9 @@ def build(data: PointSet, metric: str = "euclidean", params: GridParams | None =
     keys = (np.arange(n),) + tuple(ids[:, j] for j in range(d - 1, -1, -1))
     order = np.lexsort(keys)
     sorted_ids = ids[order]
-    new_cell = np.any(sorted_ids[1:] != sorted_ids[:-1], axis=1)
+    new_cell = np.zeros(n - 1, dtype=bool)
+    for col in sorted_ids.T:
+        new_cell |= col[1:] != col[:-1]
     starts = np.flatnonzero(new_cell) + 1
     cell_array = sorted_ids[np.concatenate(([0], starts))]
     offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
@@ -417,7 +421,7 @@ def load_index(path) -> GridIndex:
 
 
 def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Structural checks of a loaded index, in O(n + C*d).
+    """Structural checks of a loaded index, in O(n + C*d), the cell ids one column at a time.
 
     Returns the offsets and order arrays as int64, the dtype the query uses.
     """
@@ -429,11 +433,12 @@ def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     order = arrays["order"].astype(np.int64, copy=False)
     if order.min() < 0 or order.max() >= n or np.any(np.bincount(order, minlength=n) != 1):
         raise ValueError(f"{path}: order is not a permutation of 0..{n - 1}")
-    prev, nxt = cells[:-1], cells[1:]
-    differ = prev != nxt
-    first = differ.argmax(axis=1)
-    rows = np.arange(c - 1)
-    if not differ.any(axis=1).all() or np.any(nxt[rows, first] < prev[rows, first]):
+    # Row i + 1 rises past row i iff it is greater in the first column where they differ.
+    rises, ties = np.zeros(c - 1, dtype=bool), np.ones(c - 1, dtype=bool)
+    for col in cells.T:
+        rises |= ties & (col[1:] > col[:-1])
+        ties &= col[1:] == col[:-1]
+    if not rises.all():
         raise ValueError(f"{path}: cell ids are not strictly increasing")
     if not _within_cell_bound(cells.min(), cells.max()):
         raise ValueError(f"{path}: a cell id leaves +-2**62")

@@ -11,6 +11,7 @@ import struct
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gridneighbors import points_from_arrays
 from gridneighbors.grid import _LAYOUT, _MAGIC
@@ -103,3 +104,16 @@ def rewrite_index(data: bytes, edit=None, **arrays) -> bytes:
         edit(header)
     blob = json.dumps(header, sort_keys=True).encode()
     return _MAGIC + struct.pack("<I", len(blob)) + blob + b"".join(body)
+
+
+#: (n, d) float matrices, n in 1..40 and d in 1..4, of 0.0, -0.0 and three other values.
+ZERO_MATRICES = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0])] * d), min_size=1, max_size=40)
+)
+
+#: 17 rows whose first column holds both zeros: under numpy 2.4 its
+#: minimum reads -0.0 by X.min(axis=0) but 0.0 by X[:, 0].min().
+SIGNED_ZEROS = [
+    [0.0, 1.5], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.0, 1.5], [0.0, -0.0], [1.5, 0.0], [0.0, 1.5], [1.5, 1.5],
+    [-0.0, -0.0], [1.5, -0.0], [1.5, 0.0], [-0.0, 1.5], [-0.0, 0.0], [1.5, 0.0], [1.5, 1.5], [1.5, 1.5],
+]  # fmt: skip

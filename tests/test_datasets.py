@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridneighbors import DatasetSpec, apply_scaler, fit_scaler, load_csv, points_from_arrays, split
 from gridneighbors import datasets
 from gridneighbors.datasets import DatasetError
+from helpers import SIGNED_ZEROS, ZERO_MATRICES
 from reference_csv import reference_load_csv
 
 
@@ -303,6 +304,19 @@ class TestScalers:
         scaler = fit_scaler(train, kind)
         back = scaler.inverse_transform(scaler.transform(X))
         assert np.allclose(back, X, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=ZERO_MATRICES)
+    @example(X=SIGNED_ZEROS)
+    def test_minmax_matches_the_axis_0_reductions_bit_for_bit(self, X):
+        # A zero shift's sign decides the sign of each -0.0 it is subtracted from,
+        # so the minimum stays X.min(axis=0), not a column pass (see SIGNED_ZEROS).
+        X = np.array(X)
+        lo = X.min(axis=0)
+        rng = X.max(axis=0) - lo
+        scaler = fit_scaler(points_from_arrays(X, [0] * len(X)), "minmax")
+        assert scaler.shift.tobytes() == np.where(rng > 0, lo, lo - 0.5).tobytes()
+        assert scaler.scale.tobytes() == np.where(rng > 0, rng, 1.0).tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

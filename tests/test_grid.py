@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridneighbors
 from gridneighbors import (
@@ -25,7 +27,7 @@ from gridneighbors import (
 )
 from gridneighbors import grid
 from gridneighbors.grid import _MAGIC, _SPLIT_BLOCK, _max_splits_1d
-from helpers import regions, rewrite_index
+from helpers import SIGNED_ZEROS, ZERO_MATRICES, regions, rewrite_index
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
 
@@ -745,3 +747,86 @@ class TestCellIdBounds:
         index = build(_pts([[0.0], [1.0]]))
         with pytest.raises(ValueError, match="query .*2\\*\\*62"):
             knn_query(index, [1e30], 1)
+
+
+#: Column offsets for drawn cell ids: small ids, and ids just inside +-2**62.
+_ID_BASES = (0, -(2**62) + 3, 2**62 - 3)
+
+
+@st.composite
+def cell_rows(draw, bases=_ID_BASES):
+    """(C, d) int64 cell ids, d in 1..4 and C in 1..8, as a list of tuples, and d.
+
+    Drawn as they come, sorted (so a row may repeat) or sorted without
+    repeats; then, maybe, one row made to tie its predecessor in the
+    leading columns and fall only in a later one.
+    """
+    d = draw(st.integers(1, 4))
+    bases = draw(st.tuples(*[st.sampled_from(bases)] * d))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8))
+    shape = draw(st.sampled_from(["drawn", "sorted", "unique"]))
+    rows = {"drawn": rows, "sorted": sorted(rows), "unique": sorted(set(rows))}[shape]
+    if d > 1 and len(rows) > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(1, len(rows) - 1)), draw(st.integers(1, d - 1))
+        rows[i] = rows[i - 1][:j] + (rows[i - 1][j] - 1,) + rows[i][j + 1 :]
+    return [tuple(b + v for b, v in zip(bases, row)) for row in rows], d
+
+
+class TestColumnPasses:
+    """The checks and reductions done one column at a time against per-row references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cell_rows())
+    @example(case=([(5,)], 1))  # one cell
+    @example(case=([(0, 1, 2), (0, 1, 2)], 3))  # a repeated row
+    @example(case=([(0, 1, 2, 3), (0, 1, 3, 0), (0, 1, 2, 9)], 4))  # a fall in the third column only
+    def test_load_rejects_exactly_the_cell_ids_that_do_not_rise_strictly(self, tmp_path_factory, case):
+        rows, d = case
+        cells = np.array(rows, dtype=np.int64).reshape(-1, d)
+        c = len(rows)
+        # One point per cell, so every other check of load_index passes.
+        data = rewrite_index(
+            GOLDEN.read_bytes(),
+            widths=np.ones(d),
+            origin=np.zeros(d),
+            splits=np.ones(d, np.int64),
+            coords=np.zeros((c, d)),
+            labels=np.zeros(c, np.int64),
+            cell_ids=cells,
+            offsets=np.arange(c + 1),
+            order=np.arange(c),
+        )
+        path = tmp_path_factory.mktemp("ids") / "case.ghn"
+        path.write_bytes(data)
+        if not all(a < b for a, b in zip(rows, rows[1:])):
+            with pytest.raises(ValueError, match="case.ghn: cell ids are not strictly increasing"):
+                load_index(path)
+            return
+        index = load_index(path)
+        assert index.cell_array.tolist() == [list(row) for row in rows]
+        assert index.cell_lo == cells.min(axis=0).tolist() and index.cell_hi == cells.max(axis=0).tolist()
+        assert all(type(v) is int for v in index.cell_lo + index.cell_hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cell_rows(bases=(0,)))
+    def test_build_starts_a_cell_at_each_new_row(self, case):
+        rows, d = case
+        X = np.array(rows, dtype=float).reshape(-1, d) + 0.5
+        index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.zeros(d), np.ones(d)))
+        order = sorted(range(len(rows)), key=lambda i: rows[i])  # stable: input order inside a cell
+        cells = sorted(set(rows))
+        assert index.order.tolist() == order
+        assert index.cell_array.tolist() == [list(cell) for cell in cells]
+        assert index.offsets.tolist() == [0, *itertools.accumulate(rows.count(cell) for cell in cells)]
+        assert index.cell_lo == np.min(rows, axis=0).tolist() and index.cell_hi == np.max(rows, axis=0).tolist()
+        assert all(type(v) is int for v in index.cell_lo + index.cell_hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=ZERO_MATRICES)
+    @example(X=SIGNED_ZEROS)
+    def test_fitted_origin_is_the_axis_0_minimum_bit_for_bit(self, X):
+        # origin is saved in the file, so it stays X.min(axis=0): on SIGNED_ZEROS a
+        # column pass picks the other zero, and a zero's sign is part of the bytes.
+        X = np.array(X)
+        assert fit_cell_measurements(points_from_arrays(X, [0] * len(X))).origin.tobytes() == X.min(axis=0).tobytes()
+
