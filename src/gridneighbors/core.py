@@ -112,13 +112,18 @@ def points_from_arrays(coords, labels) -> PointSet:
     return PointSet(coords, labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Neighbor:
     """A selected neighbor: its distance to the query, training index, label."""
 
     distance: float
     point_index: int
     label: object = None
+
+    def __init__(self, distance: float, point_index: int, label: object = None) -> None:
+        # A frozen dataclass's generated __init__ sets each field by object.__setattr__, at twice this cost.
+        fields = self.__dict__
+        fields["distance"], fields["point_index"], fields["label"] = distance, point_index, label
 
     @property
     def key(self) -> tuple[float, int]:

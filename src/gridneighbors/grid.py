@@ -1,14 +1,18 @@
 """Virtual grid fitting and the cell -> points index (training phase).
 
-Cell widths are fitted per dimension by splitting the data range into the
-largest number of equal bins that leaves no bin empty; points are then
-hashed to integer cell ids by floor division of raw coordinates by the
-fitted widths. The index stores the non-empty cells in CSR layout: sorted
-cell ids, the point indices sorted by cell, and one start offset per cell
-(the cell-sorted array with cell start offsets of S. Green, "Particle
-Simulation using CUDA", NVIDIA 2010), which the query also reads the
-coordinates in, built on the first query. The binary file holds these and
-the PointSet's arrays as they are; loading rebuilds and converts nothing.
+Cell widths are fitted per dimension by splitting the data range into
+the largest number of equal bins that leaves no bin empty; points are
+then hashed to integer cell ids by floor division of raw coordinates by
+the fitted widths. The fit sorts only the gaps between values wide
+enough to empty a bin, and build sorts the cell ids less their box
+corner as the narrowest integers that hold the box: numpy radix-sorts
+16-bit keys. The index stores the non-empty cells in CSR layout: sorted
+cell ids, the point indices sorted by cell, and one start offset per
+cell (the cell-sorted array with cell start offsets of S. Green,
+"Particle Simulation using CUDA", NVIDIA 2010), which the query also
+reads the coordinates in, built on the first query. The binary file
+holds these and the PointSet's arrays as they are; loading rebuilds and
+converts nothing.
 """
 
 from __future__ import annotations
@@ -82,19 +86,21 @@ def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     max_gap = float(gaps.max())
     # Occupancy is guaranteed to fail once max_gap * s / span >= 2.
     s_hi = min(distinct.size, int(np.ceil(2.0 * span / max_gap)))
-    # The gaps wider than span / s are the first cnt of by_size whatever
-    # order ties take, so an unstable sort serves.
-    by_size = np.argsort(gaps)
-    gaps_asc = gaps[by_size]
-    by_size = by_size[::-1]
-    left = distinct[:-1][by_size]
-    right = distinct[1:][by_size]
+    # Every candidate s <= s_hi reads only the gaps wider than span / s_hi,
+    # so only those are sorted. The ones wider than span / s are the first
+    # cnt of by_size whatever order ties take, so an unstable sort serves.
+    wide = np.flatnonzero(gaps > span / s_hi)
+    by_size = np.argsort(gaps[wide])
+    gaps_asc = gaps[wide[by_size]]
+    by_size = wide[by_size[::-1]]
+    left = distinct[by_size]
+    right = distinct[by_size + 1]
     top = s_hi
     while top > 1:
-        cnt_top = gaps.size - int(np.searchsorted(gaps_asc, span / top, side="right"))
+        cnt_top = wide.size - int(np.searchsorted(gaps_asc, span / top, side="right"))
         block = max(1, _SPLIT_BLOCK // max(cnt_top, 1))
         s = np.arange(top, max(top - block, 1), -1)
-        cnt = gaps.size - np.searchsorted(gaps_asc, span / s, side="right")
+        cnt = wide.size - np.searchsorted(gaps_asc, span / s, side="right")
         lb = _bin_of(left[None, :cnt_top], lo, span, s[:, None])
         rb = _bin_of(right[None, :cnt_top], lo, span, s[:, None])
         # Only the first cnt[i] gaps can empty a bin at s[i].
@@ -163,6 +169,13 @@ def _query_cell(q: np.ndarray, widths: np.ndarray) -> list[int]:
 def _within_cell_bound(lo, hi) -> bool:
     """Whether cell ids with minimum lo and maximum hi lie strictly inside +-2**62 (np.abs(-2**63) < 0)."""
     return bool(lo > -(2**62) and hi < 2**62)
+
+
+def _box_cols(cells: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
+    """(d, m) cells - lo, one row per dimension, in the narrowest of int16, int32 and int64 that holds +-side."""
+    side = max(b - a for a, b in zip(lo, hi)) + 1  # the longest side of the box lo..hi
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if side <= np.iinfo(t).max)
+    return np.stack([(col - a).astype(dtype) for col, a in zip(cells.T, lo)])
 
 
 #: The cell table's padding, in cells per side: it serves layers 0.._TABLE_PAD.
@@ -236,13 +249,8 @@ class GridIndex:
 
     @cached_property
     def cell_cols(self) -> np.ndarray:
-        """Read-only (d, C) cell_array - cell_lo for slab rounds, one row per dimension; never saved.
-
-        Its dtype is the narrowest of int16, int32 and int64 that holds +-side, the box's longest side.
-        """
-        side = max(b - a for a, b in zip(self.cell_lo, self.cell_hi)) + 1
-        dtype = next(t for t in (np.int16, np.int32, np.int64) if side <= np.iinfo(t).max)
-        cols = (self.cell_array - self.cell_lo).T.astype(dtype, order="C")
+        """Read-only (d, C) cell_array - cell_lo in _box_cols's narrow dtype, for slab rounds; never saved."""
+        cols = _box_cols(self.cell_array, self.cell_lo, self.cell_hi)
         cols.flags.writeable = False
         return cols
 
@@ -280,27 +288,26 @@ class GridIndex:
 def build(data: PointSet, metric: str = "euclidean", params: GridParams | None = None) -> GridIndex:
     """Build the grid index: fit widths, hash every point into its cell.
 
-    Points keep their input order inside each cell. Pass explicit params
-    to skip fitting (useful for constructed scenarios).
+    One stable lexsort orders the points by cell id, less the box corner in
+    _box_cols's narrow dtype, so they keep their input order inside each
+    cell. Pass explicit params to skip fitting (for constructed scenarios).
     """
     _check_metric(metric)
     if params is None:
         params = fit_cell_measurements(data)
     elif params.dim != data.coords.shape[1]:
         raise ValueError("params dimension does not match the data")
-    n, d = data.coords.shape
+    n = data.coords.shape[0]
     ids = _cell_ids(data.coords, params.widths)
-    # Sort rows lexicographically by cell id, then by original index so
-    # each cell keeps input order.
-    keys = (np.arange(n),) + tuple(ids[:, j] for j in range(d - 1, -1, -1))
-    order = np.lexsort(keys)
-    sorted_ids = ids[order]
+    # int16 keys on a box of up to 2**15 - 1 cells a side, which numpy radix-sorts.
+    cols = _box_cols(ids, [int(col.min()) for col in ids.T], [int(col.max()) for col in ids.T])
+    order = np.lexsort(cols[::-1])
     new_cell = np.zeros(n - 1, dtype=bool)
-    for col in sorted_ids.T:
+    for col in cols[:, order]:
         new_cell |= col[1:] != col[:-1]
-    starts = np.flatnonzero(new_cell) + 1
-    cell_array = sorted_ids[np.concatenate(([0], starts))]
-    offsets = np.concatenate(([0], starts, [n])).astype(np.int64)
+    firsts = np.concatenate(([0], np.flatnonzero(new_cell) + 1))
+    cell_array = ids[order[firsts]]
+    offsets = np.append(firsts, n).astype(np.int64)
     return GridIndex(params, data.coords, data.labels, metric, cell_array, order, offsets)
 
 

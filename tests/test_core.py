@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridneighbors import METRICS, NeighborBuffer, distance
+from gridneighbors import METRICS, Neighbor, NeighborBuffer, distance
 from gridneighbors.core import ordering_keys
 from helpers import held
 
@@ -196,3 +200,55 @@ class TestNeighborBuffer:
         assert (keys == sorted(keys.tolist())[k - 1]).sum() > 1  # the kth key ties
         survivors = int((keys <= 2.0).sum()) if full else m  # a full buffer first drops keys past its kth
         assert len(partitions) == (survivors > 8 * k)
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedNeighbor:
+    """Neighbor with the __init__ that the dataclass decorator writes: the reference."""
+
+    distance: float
+    point_index: int
+    label: object = None
+
+
+class TestNeighbor:
+    """Neighbor's own __init__ keeps every behaviour of the generated one."""
+
+    @pytest.mark.parametrize("args", [(0.5, 3, "a"), (0.5, 3, None), (0.0, 0, 1), (2.25, 7, (1, 2)), (1.0, 2, 1.5)])
+    def test_equality_hash_and_repr(self, args):
+        n, ref = Neighbor(*args), _GeneratedNeighbor(*args)
+        assert n == Neighbor(*args) and hash(n) == hash(Neighbor(*args)) == hash(ref)
+        assert repr(n) == repr(ref).replace("_GeneratedNeighbor", "Neighbor")
+        assert vars(n) == vars(ref) and dataclasses.astuple(n) == args and n.key == args[:2]
+        assert n != Neighbor(args[0], args[1] + 1, args[2]) and n != Neighbor(args[0] + 1, *args[1:])
+        assert n != ref  # the generated __eq__ compares classes first
+
+    def test_keywords_default_label_and_bad_arguments(self):
+        assert Neighbor(distance=1.0, point_index=2) == Neighbor(1.0, 2) == Neighbor(1.0, 2, None)
+        assert Neighbor(1.0, point_index=2, label="x") == Neighbor(1.0, 2, "x")
+        for args, kwargs in [((1.0,), {}), ((1.0, 2, 3, 4), {}), ((1.0, 2), {"colour": 3}), ((1.0, 2), {"distance": 1.0})]:
+            with pytest.raises(TypeError):
+                Neighbor(*args, **kwargs)
+            with pytest.raises(TypeError):
+                _GeneratedNeighbor(*args, **kwargs)
+
+    def test_frozen(self):
+        n = Neighbor(1.0, 2, "x")
+        for name in ("distance", "point_index", "label", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(n, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del n.label
+        assert n == Neighbor(1.0, 2, "x")
+
+    def test_replace_copy_and_pickle(self):
+        n = Neighbor(1.5, 4, "y")
+        assert dataclasses.replace(n, label="z") == Neighbor(1.5, 4, "z")
+        assert dataclasses.replace(n) == n and type(dataclasses.replace(n)) is Neighbor
+        assert [f.name for f in dataclasses.fields(n)] == ["distance", "point_index", "label"]
+        for m in [copy.copy(n), copy.deepcopy(n)] + [
+            pickle.loads(pickle.dumps(n, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]:
+            assert m == n and type(m) is Neighbor and hash(m) == hash(n) and vars(m) == vars(n)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                m.label = "w"

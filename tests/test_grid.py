@@ -193,6 +193,41 @@ class TestSplitSearchBlocks:
             v = np.concatenate([rng.normal(0, 1, n), rng.normal(1e4, 1, n)])
             assert _max_splits_1d(v) == _oracle_max_splits(v)
 
+    @staticmethod
+    def _bound_and_gaps(v):
+        """span / s_hi for the top candidate s_hi, which only wider gaps pass, and the gaps."""
+        distinct = np.unique(v)
+        span, gaps = float(distinct[-1] - distinct[0]), np.diff(distinct)
+        s_hi = min(distinct.size, int(np.ceil(2.0 * span / float(gaps.max()))))
+        return span / s_hi, gaps
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 1.0, 2.0, 4.0],  # span 4, widest gap 2: s_hi = 4, and two gaps equal span / s_hi = 1
+            [0.0, 3.0, 4.0, 7.0, 8.0, 11.0],  # the three widest gaps tie
+            [0.0, 2.0, 4.0, 5.0, 7.0, 9.0, 10.0, 12.0],  # ties among the widest and gaps of 1
+            [-8.0, -6.0, -4.0, -2.0, 0.0, 1.0],  # ties among the widest, below zero
+        ],
+    )
+    def test_gap_equal_to_the_bound_and_ties_among_the_widest(self, values):
+        v = np.array(values)
+        bound, gaps = self._bound_and_gaps(v)
+        assert bound in gaps or np.sum(gaps == gaps.max()) > 1
+        assert _max_splits_1d(v) == _oracle_max_splits(v) == _loop_max_splits(v)
+
+    def test_integer_values_with_gaps_on_the_bound(self, rng):
+        # Integer values make many gaps tie, and some equal span / s_hi exactly.
+        on_bound = 0
+        for _ in range(400):
+            m = int(rng.integers(3, 80))
+            v = rng.choice(m, int(rng.integers(2, min(m, 30) + 1)), replace=False).astype(float)
+            v = v * rng.choice([1.0, 0.5, 0.25, 3.0]) - rng.integers(0, 50)
+            bound, gaps = self._bound_and_gaps(v)
+            on_bound += bool(np.any(gaps == bound))
+            assert _max_splits_1d(v) == _oracle_max_splits(v) == _loop_max_splits(v), v.tolist()
+        assert on_bound >= 20
+
     @pytest.mark.parametrize("name", ["clustered", "uniform", "csv_pipeline"])
     def test_fit_on_benchmark_data_matches_the_loop(self, name, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT))
@@ -753,6 +788,16 @@ class TestCellIdBounds:
 _ID_BASES = (0, -(2**62) + 3, 2**62 - 3)
 
 
+def _box_rows(lo, side):
+    """Cells at both ends of a box side cells wide in the first dimension, and inside it, repeated and out of order."""
+    hi = lo + side - 1
+    return [(hi, 0), (lo, 1), (lo + side // 2, 0), (lo, 0), (hi, 0), (lo, 1), (hi, -1), (lo + 1, 2)]
+
+
+#: A cell id near 2**62 that a float holds exactly: floats there are 1024 apart.
+_NEAR = 2**62 - 1024
+
+
 @st.composite
 def cell_rows(draw, bases=_ID_BASES):
     """(C, d) int64 cell ids, d in 1..4 and C in 1..8, as a list of tuples, and d.
@@ -830,3 +875,56 @@ class TestColumnPasses:
         X = np.array(X)
         assert fit_cell_measurements(points_from_arrays(X, [0] * len(X))).origin.tobytes() == X.min(axis=0).tobytes()
 
+    @staticmethod
+    def _build_spying_on_lexsort(monkeypatch, rows, X):
+        """build over width-1 cells, and the keys of each np.lexsort call it makes."""
+        calls = []
+        lexsort = np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            calls.append([np.array(key) for key in keys])
+            return lexsort(keys, *args, **kwargs)
+
+        d = len(rows[0])
+        with monkeypatch.context() as m:
+            m.setattr(np, "lexsort", spy)
+            index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.zeros(d), np.ones(d)))
+        return index, calls
+
+    def test_build_sorts_the_ids_less_the_box_corner_as_int16_keys(self, monkeypatch):
+        rows = [(3, -1), (1, 4), (3, -2), (1, 4), (2, 0)]
+        index, calls = self._build_spying_on_lexsort(monkeypatch, rows, np.array(rows) + 0.5)
+        # One key per dimension, the last one first, and no np.arange key: lexsort is stable.
+        assert len(calls) == 1 and [key.dtype for key in calls[0]] == [np.int16, np.int16]
+        assert [key.tolist() for key in calls[0]] == [[1, 6, 0, 6, 2], [2, 0, 2, 0, 1]]
+        assert index.order.tolist() == [1, 3, 4, 2, 0] and index.cell_cols.dtype == np.int16
+
+    @pytest.mark.parametrize(
+        "rows, dtype",
+        [
+            (_box_rows(0, 2**15 - 1), np.int16),
+            (_box_rows(-(2**15), 2**15 - 1), np.int16),
+            (_box_rows(0, 2**15), np.int32),
+            (_box_rows(-7, 2**15), np.int32),
+            (_box_rows(0, 2**31 - 1), np.int32),
+            (_box_rows(-(2**31), 2**31 - 1), np.int32),
+            (_box_rows(0, 2**31), np.int64),
+            (_box_rows(-(2**40), 2**31), np.int64),
+            # Ids near +-2**62, in an int16 box and in one that spans both ends.
+            ([(_NEAR - 1024 * m, -_NEAR + 1024 * m) for m in (1, 30, 0, 30, 7)], np.int16),
+            ([(_NEAR, 5), (-_NEAR, 5), (0, -_NEAR), (-_NEAR, _NEAR), (_NEAR, 5)], np.int64),
+        ],
+    )
+    def test_build_matches_a_sorted_reference_on_wide_boxes(self, monkeypatch, rows, dtype):
+        X = np.array(rows, dtype=float)
+        if np.abs(X).max() < 2**52:
+            X += 0.5  # inside the cell, not on its edge
+        assert np.floor(X).astype(np.int64).tolist() == [list(row) for row in rows]
+        index, calls = self._build_spying_on_lexsort(monkeypatch, rows, X)
+        order = sorted(range(len(rows)), key=lambda i: rows[i])  # stable: input order inside a cell
+        cells = sorted(set(rows))
+        assert index.order.tolist() == order
+        assert index.cell_array.tolist() == [list(cell) for cell in cells]
+        assert index.offsets.tolist() == [0, *itertools.accumulate(rows.count(cell) for cell in cells)]
+        assert [key.dtype for key in calls[0]] == [dtype, dtype] and index.cell_cols.dtype == dtype
+        assert index.cell_cols.tolist() == (np.array(cells, dtype=object) - index.cell_lo).T.tolist()
