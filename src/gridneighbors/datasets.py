@@ -185,7 +185,7 @@ def split(data: PointSet, fraction: float, seed: int) -> tuple[PointSet, PointSe
         raise ValueError(f"degenerate split: {n_train}/{n - n_train} from n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     sides = perm[:n_train], perm[n_train:]
-    return tuple(PointSet(data.coords[s], data.labels[s], _copy=False) for s in sides)
+    return tuple(PointSet(data.coords.take(s, axis=0), data.labels.take(s), _copy=False) for s in sides)
 
 
 @dataclass(frozen=True)

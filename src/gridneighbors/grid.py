@@ -3,16 +3,16 @@
 Cell widths are fitted per dimension by splitting the data range into
 the largest number of equal bins that leaves no bin empty; points are
 then hashed to integer cell ids by floor division of raw coordinates by
-the fitted widths. The fit sorts only the gaps between values wide
-enough to empty a bin, and build sorts the cell ids less their box
-corner as the narrowest integers that hold the box: numpy radix-sorts
-16-bit keys. The index stores the non-empty cells in CSR layout: sorted
-cell ids, the point indices sorted by cell, and one start offset per
-cell (the cell-sorted array with cell start offsets of S. Green,
-"Particle Simulation using CUDA", NVIDIA 2010), which the query also
-reads the coordinates in, built on the first query. The binary file
-holds these and the PointSet's arrays as they are; loading rebuilds and
-converts nothing.
+the fitted widths. The fit sorts only the gaps wide enough to empty a
+bin and tests each split count against its widest gaps first; build
+sorts the cell ids less their box corner as the narrowest integers that
+hold the box (numpy radix-sorts 16-bit keys). The index stores the
+non-empty cells in CSR layout: sorted cell ids, the point indices sorted
+by cell, and one start offset per cell (the cell-sorted array with cell
+start offsets of S. Green, "Particle Simulation using CUDA", NVIDIA
+2010), which the query also reads the coordinates in, built on the first
+query. The binary file holds these and the PointSet's arrays as they
+are; loading rebuilds and converts nothing.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ class GridParams:
         return self.widths.shape[0]
 
 
-#: Elements in one (candidate split counts x gaps) block of _max_splits_1d.
+#: _max_splits_1d's budget in elements per broadcast, and how many widest gaps it probes first.
 _SPLIT_BLOCK = 1 << 14
+_PROBE = 8
 
 
 def _bin_of(values: np.ndarray, lo: float, span: float, s) -> np.ndarray:
@@ -66,16 +67,22 @@ def _bin_of(values: np.ndarray, lo: float, span: float, s) -> np.ndarray:
     return np.minimum(np.floor((values - lo) * s / span), s - 1)
 
 
+def _gaps_pass(left, right, lo: float, span: float, s, cnt, start: int, stop: int) -> np.ndarray:
+    """Per candidate s[i], whether none of the gaps start..stop - 1 among its cnt[i] widest empties a bin."""
+    lb, rb = (_bin_of(ends[start:stop], lo, span, s[:, None]) for ends in (left, right))
+    return (((rb - lb) <= 1) | (np.arange(start, stop) >= cnt[:, None])).all(axis=1)
+
+
 def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     """Largest split count s leaving no bin of [lo, hi] empty, and the width.
 
     A bin can only go empty inside a gap between consecutive distinct
     values, and only when gap * s > span, so each candidate s is checked
-    against the few largest gaps instead of rehashing every value. The
-    candidates are tried from the top down in blocks of consecutive s: one
-    broadcast _bin_of over (block x largest gaps) per block, sized to at
-    most _SPLIT_BLOCK elements, and the first s of the block that passes
-    is the answer.
+    against its cnt largest gaps instead of rehashing every value. Blocks of
+    _SPLIT_BLOCK // _PROBE candidates, from the top down, are probed against
+    their _PROBE widest gaps in one broadcast, which almost all fail; the
+    survivors are verified from the top down against all their gaps in
+    broadcasts of at most _SPLIT_BLOCK elements. The first to pass wins.
     """
     distinct = np.unique(values)
     if distinct.size == 1:
@@ -93,23 +100,22 @@ def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     by_size = np.argsort(gaps[wide])
     gaps_asc = gaps[wide[by_size]]
     by_size = wide[by_size[::-1]]
-    left = distinct[by_size]
-    right = distinct[by_size + 1]
-    top = s_hi
-    while top > 1:
-        cnt_top = wide.size - int(np.searchsorted(gaps_asc, span / top, side="right"))
-        block = max(1, _SPLIT_BLOCK // max(cnt_top, 1))
-        s = np.arange(top, max(top - block, 1), -1)
+    left, right = distinct[by_size], distinct[by_size + 1]
+    for top in range(s_hi, 1, -(_SPLIT_BLOCK // _PROBE)):
+        s = np.arange(top, max(top - _SPLIT_BLOCK // _PROBE, 1), -1)
         cnt = wide.size - np.searchsorted(gaps_asc, span / s, side="right")
-        lb = _bin_of(left[None, :cnt_top], lo, span, s[:, None])
-        rb = _bin_of(right[None, :cnt_top], lo, span, s[:, None])
-        # Only the first cnt[i] gaps can empty a bin at s[i].
-        ok = ((rb - lb) <= 1) | (np.arange(cnt_top) >= cnt[:, None])
-        passed = np.flatnonzero(ok.all(axis=1))
-        if passed.size:
-            best = int(s[passed[0]])
-            return best, span / best
-        top = int(s[-1]) - 1
+        keep = _gaps_pass(left, right, lo, span, s, cnt, 0, min(_PROBE, int(cnt[0])))
+        s, cnt = s[keep], cnt[keep]
+        while s.size:  # the survivors, from the top down, against all of their gaps
+            width = int(cnt[0])
+            rows = max(1, _SPLIT_BLOCK // max(width, 1))
+            ok = np.ones(min(rows, s.size), dtype=bool)
+            for start in range(0, width, _SPLIT_BLOCK):
+                ok &= _gaps_pass(left, right, lo, span, s[:rows], cnt[:rows], start, min(start + _SPLIT_BLOCK, width))
+            if ok.any():
+                best = int(s[ok.argmax()])
+                return best, span / best
+            s, cnt = s[rows:], cnt[rows:]
     return 1, span
 
 
@@ -133,12 +139,14 @@ def hash_cell(p, params: GridParams) -> CellId:
     """Cell id of a point: per-dimension floor division by the cell width.
 
     Floor is toward negative infinity, so points left of the origin land
-    in distinct negative cells. Raises ValueError, as build and knn_query
-    do, for a point whose cell id leaves +-2**62 or is not finite.
+    in distinct negative cells. Raises ValueError, as knn_query does, for
+    a non-finite coordinate or a cell id past +-2**62.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (params.dim,):
         raise ValueError(f"dimension mismatch: point {p.shape}, grid {params.dim}")
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError(f"point has a non-finite coordinate: {p}")
     return tuple(_cell_ids(p, params.widths).tolist())
 
 
@@ -152,7 +160,8 @@ def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
     cannot overflow, and neither can the difference of two ids, which the
     query's layer arithmetic takes.
     """
-    ids = np.floor(x / widths)
+    ids = x / widths
+    np.floor(ids, out=ids)  # in place: one (n, d) temporary, not two
     if not _within_cell_bound(ids.min(), ids.max()):
         raise ValueError(_TOO_FAR)
     return ids.astype(np.int64)
@@ -303,10 +312,10 @@ def build(data: PointSet, metric: str = "euclidean", params: GridParams | None =
     cols = _box_cols(ids, [int(col.min()) for col in ids.T], [int(col.max()) for col in ids.T])
     order = np.lexsort(cols[::-1])
     new_cell = np.zeros(n - 1, dtype=bool)
-    for col in cols[:, order]:
+    for col in cols.take(order, axis=1):  # take: fancy indexing of a 2-D array is 3-4x slower
         new_cell |= col[1:] != col[:-1]
     firsts = np.concatenate(([0], np.flatnonzero(new_cell) + 1))
-    cell_array = ids[order[firsts]]
+    cell_array = ids.take(order[firsts], axis=0)
     offsets = np.append(firsts, n).astype(np.int64)
     return GridIndex(params, data.coords, data.labels, metric, cell_array, order, offsets)
 

@@ -267,6 +267,15 @@ class TestSplit:
         assert [p.index for p in test] == list(range(5))
         assert set(p.label for p in train).isdisjoint(p.label for p in test)
 
+    @pytest.mark.parametrize("labels", [np.arange(40) % 3, np.array(list("abcd") * 10)])
+    def test_sides_hold_the_shuffled_rows_read_only(self, rng, labels):
+        data = points_from_arrays(rng.normal(0, 1, (40, 3)), labels)
+        perm = np.random.default_rng(5).permutation(40)
+        for side, rows in zip(split(data, 0.75, seed=5), (perm[:30], perm[30:])):
+            for got, source in ((side.coords, data.coords), (side.labels, data.labels)):
+                assert got.dtype == source.dtype and got.tobytes() == source[rows].tobytes()
+                assert not got.flags.writeable and got.flags.c_contiguous
+
 
 class TestScalers:
     def test_standard(self):

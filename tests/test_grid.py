@@ -26,7 +26,7 @@ from gridneighbors import (
     save_index,
 )
 from gridneighbors import grid
-from gridneighbors.grid import _MAGIC, _SPLIT_BLOCK, _max_splits_1d
+from gridneighbors.grid import _MAGIC, _PROBE, _SPLIT_BLOCK, _max_splits_1d
 from helpers import SIGNED_ZEROS, ZERO_MATRICES, regions, rewrite_index
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
@@ -156,36 +156,73 @@ class TestFitCellMeasurements:
 
 
 class TestSplitSearchBlocks:
-    """The blocked split search at sizes where its blocks matter, against the oracle."""
+    """The probe-and-verify split search at sizes where its blocks matter, against the oracle."""
 
     @staticmethod
-    def _blocks(monkeypatch, values):
-        """_max_splits_1d(values) and the number of blocks it scanned."""
-        calls = []
-        bin_of = grid._bin_of
+    def _search(monkeypatch, values):
+        """_max_splits_1d(values), then its probes and its verifies as (candidates, start, stop, passed).
 
-        def counted(*args):
-            calls.append(1)
-            return bin_of(*args)
+        A probe tests a whole block: consecutive candidates down from the
+        block's top, _SPLIT_BLOCK // _PROBE of them or down to 2. Every
+        other _gaps_pass call verifies survivors.
+        """
+        probes, verifies = [], []
+        gaps_pass = grid._gaps_pass
+
+        def spied(left, right, lo, span, s, cnt, start, stop):
+            passed = gaps_pass(left, right, lo, span, s, cnt, start, stop)
+            block = s.size == min(_SPLIT_BLOCK // _PROBE, int(s[0]) - 1) and np.all(np.diff(s) == -1)
+            (probes if block else verifies).append((s.tolist(), start, stop, passed.tolist()))
+            return passed
 
         with monkeypatch.context() as m:
-            m.setattr(grid, "_bin_of", counted)
+            m.setattr(grid, "_gaps_pass", spied)
             result = _max_splits_1d(values)
-        return result, len(calls) // 2  # two _bin_of calls a block
+        return result, probes, verifies
 
-    def test_uniform_values_take_many_blocks(self, rng, monkeypatch):
+    def test_uniform_values_probe_many_candidates_and_verify_few(self, rng, monkeypatch):
         v = rng.uniform(0, 100, 50_000)
-        (s, w), blocks = self._blocks(monkeypatch, v)
-        assert blocks > 5  # ~1,200 candidates tried against ~300 gaps
+        (s, w), probes, verifies = self._search(monkeypatch, v)
         assert (s, w) == _oracle_max_splits(v)
+        # ~2,300 candidates lie above the answer, each with ~100-300 wide
+        # gaps; the probe reads 8 of them and rejects all but a few.
+        top = probes[0][0][0]
+        survivors = [c for cands, _, _, passed in probes for c, ok in zip(cands, passed) if ok and c > s]
+        assert len(probes) >= 2 and top - s > _SPLIT_BLOCK // _PROBE
+        assert all((start, stop) == (0, _PROBE) for _, start, stop, _ in probes)
+        assert len(survivors) * 50 < top - s
+        assert all(len(cands) * (stop - start) <= _SPLIT_BLOCK for cands, start, stop, _ in verifies)
 
-    def test_lattice_takes_blocks_of_one_candidate(self, monkeypatch):
-        # Every gap is equal and wider than span / s_hi: more gaps count at
-        # s_hi than a block holds, so a block narrows to one candidate.
+    def test_lattice_verifies_one_candidate_in_gap_chunks(self, monkeypatch):
+        # Every gap is equal and wider than span / s_hi: the top candidate
+        # passes its probe, and it counts more gaps than a broadcast holds,
+        # so it is verified alone, a chunk of _SPLIT_BLOCK gaps at a time.
         v = np.arange(-25_000, 25_000, dtype=float)
         assert v.size - 1 > _SPLIT_BLOCK
-        (s, w), blocks = self._blocks(monkeypatch, v)
-        assert blocks == 1 and (s, w) == _oracle_max_splits(v) == (v.size, (v.size - 1) / v.size)
+        (s, w), probes, verifies = self._search(monkeypatch, v)
+        assert (s, w) == _oracle_max_splits(v) == (v.size, (v.size - 1) / v.size)
+        assert len(probes) == 1 and probes[0][0][0] == v.size and probes[0][3][0]
+        chunks = [(a, min(a + _SPLIT_BLOCK, v.size - 1)) for a in range(0, v.size - 1, _SPLIT_BLOCK)]
+        assert [(cands, start, stop) for cands, start, stop, _ in verifies] == [([v.size], a, b) for a, b in chunks]
+
+    def test_verify_rejects_a_probe_survivor(self, monkeypatch):
+        # 15 splits pass the 8 widest gaps but not the ninth: a gap past the
+        # probe decides, and the verify goes on down to 12.
+        v = np.array([2, 7, 12, 13, 17, 22, 27, 31, 32, 37, 38, 43, 44, 46, 47, 51, 52, 55, 58], dtype=float)
+        (s, w), probes, verifies = self._search(monkeypatch, v)
+        assert (s, w) == _oracle_max_splits(v) == _loop_max_splits(v) == (12, 56 / 12)
+        (cands, _, _, passed), = probes
+        assert passed[cands.index(15)]
+        cands, start, stop, passed = verifies[0]
+        assert cands[:2] == [15, 12] and passed[:2] == [False, True] and stop > _PROBE
+
+    def test_search_spanning_three_probe_blocks(self, monkeypatch):
+        # Gaps uniform in [0, 1): the widest is ~1, twice the mean, so the
+        # answer lies ~n / 2 candidates below the top.
+        v = np.cumsum(np.random.default_rng(5).uniform(0, 1, 10_000))
+        (s, w), probes, _ = self._search(monkeypatch, v)
+        assert len(probes) >= 3 and probes[2][0][0] >= s
+        assert (s, w) == _oracle_max_splits(v) == _loop_max_splits(v)
 
     def test_two_far_apart_clusters(self, rng):
         # One gap counts at every candidate, so a block holds them all.
@@ -241,6 +278,34 @@ class TestSplitSearchBlocks:
         assert params.origin.tobytes() == points.coords.min(axis=0).tobytes()
 
 
+class TestSplitSearchWork:
+    """A deterministic guard on the split search's work: a spy on _bin_of counts elements, nothing is timed."""
+
+    @pytest.mark.parametrize(
+        "values, bound",
+        [
+            # 100,296 elements today; the (counts x gaps) block search took 489,942.
+            (np.random.default_rng(12345).uniform(0, 100, 50_000), 200_000),
+            # 132,766 today: one probe block, then 4 chunks of the top candidate's gaps.
+            (np.arange(-25_000, 25_000, dtype=float), 270_000),
+        ],
+        ids=["uniform", "lattice"],
+    )
+    def test_broadcasts_stay_in_budget_and_total_work_bounded(self, values, bound, monkeypatch):
+        sizes = []
+        bin_of = grid._bin_of
+
+        def counted(*args):
+            out = bin_of(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(grid, "_bin_of", counted)
+        assert _max_splits_1d(values) == _oracle_max_splits(values)
+        assert max(sizes) <= _SPLIT_BLOCK
+        assert sum(sizes) < bound
+
+
 class TestHashCell:
     def test_floor_of_coordinates(self):
         params = GridParams([1.0, 1.0], [0.0, 0.0], [1, 1])
@@ -264,6 +329,13 @@ class TestHashCell:
         params = GridParams([1.0], [0.0], [1])
         with pytest.raises(ValueError, match=r"2\*\*62"):
             hash_cell((1e300,), params)
+
+    @pytest.mark.parametrize("p", [(math.nan,), (math.inf,), (-math.inf,), (0.5, math.nan), (math.inf, 1e300)])
+    def test_non_finite_point_rejected(self, p):
+        # The query's rule, not "too far from the origin".
+        params = GridParams([1.0] * len(p), [0.0] * len(p), [1] * len(p))
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            hash_cell(p, params)
 
 
 class TestBuild:
