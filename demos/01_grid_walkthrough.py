@@ -20,7 +20,7 @@ X = np.array(
     ]
 )
 labels = ["A", "A", "B", "B", "B", "A"]
-index = build(points_from_arrays(X, labels), params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+index = build(points_from_arrays(X, labels), params=GridParams([1.0, 1.0], [1, 1]))
 
 print("training points and their cells:")
 for i, x in enumerate(X):

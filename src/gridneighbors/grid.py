@@ -11,8 +11,8 @@ non-empty cells in CSR layout: sorted cell ids, the point indices sorted
 by cell, and one start offset per cell (the cell-sorted array with cell
 start offsets of S. Green, "Particle Simulation using CUDA", NVIDIA
 2010), which the query also reads the coordinates in, built on the first
-query. The binary file holds these and the PointSet's arrays as they
-are; loading rebuilds and converts nothing.
+query. The binary file (version 2; version 1 files still load) holds these
+and the PointSet's arrays as they are; loading rebuilds and converts nothing.
 """
 
 from __future__ import annotations
@@ -37,20 +37,22 @@ CellId = tuple[int, ...]
 class GridParams:
     """Fitted grid geometry: per-dimension cell widths and split counts.
 
-    origin records the per-dimension training minimum; it is reporting
-    metadata only (hashing anchors at absolute zero).
+    Hashing anchors at zero, so the d >= 1 positive finite widths alone
+    place every cell; the d split counts, each at least 1, are for reporting.
     """
 
     widths: np.ndarray
-    origin: np.ndarray
     splits: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "widths", np.asarray(self.widths, dtype=float))
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "splits", np.asarray(self.splits, dtype=np.int64))
+        if self.widths.ndim != 1 or self.widths.size == 0 or self.splits.shape != self.widths.shape:
+            raise ValueError(f"widths {self.widths.shape} and splits {self.splits.shape} are not both (d,), d >= 1")
         if not np.all((self.widths > 0) & np.isfinite(self.widths)):
             raise ValueError("all cell widths must be positive and finite")
+        if not np.all(self.splits >= 1):
+            raise ValueError("every split count must be at least 1")
 
     @property
     def dim(self) -> int:
@@ -126,13 +128,8 @@ def fit_cell_measurements(data: PointSet) -> GridParams:
     every bin of its value range occupied; the cell width is range/splits.
     Constant dimensions fall back to a single split of width 1.
     """
-    coords = data.coords
-    d = coords.shape[1]
-    widths = np.empty(d)
-    splits = np.empty(d, dtype=np.int64)
-    for j in range(d):
-        splits[j], widths[j] = _max_splits_1d(coords[:, j])
-    return GridParams(widths=widths, origin=coords.min(axis=0), splits=splits)
+    splits, widths = zip(*map(_max_splits_1d, data.coords.T))
+    return GridParams(widths=widths, splits=splits)
 
 
 def hash_cell(p, params: GridParams) -> CellId:
@@ -338,12 +335,12 @@ def cell_points(index: GridIndex, cell) -> list[int]:
 
 _MAGIC = b"GHNIDX\x01\n"
 
-#: The file's arrays in file order: name, the GridIndex attribute save_index
-#: writes, the dtype kinds it may have (labels as in PointSet), and its shape
-#: for n points in d dimensions and c cells.
+#: The arrays of a version 2 file in file order: name, the GridIndex attribute
+#: save_index writes, the dtype kinds it may have (labels as in PointSet), and
+#: its shape for n points in d dimensions and c cells. _LAYOUTS[1] puts back
+#: version 1's origin (training minima), which load_index checks, then drops.
 _LAYOUT = (
     ("widths", attrgetter("params.widths"), "f", lambda n, d, c: (d,)),
-    ("origin", attrgetter("params.origin"), "f", lambda n, d, c: (d,)),
     ("splits", attrgetter("params.splits"), "i", lambda n, d, c: (d,)),
     ("coords", attrgetter("coords"), "f", lambda n, d, c: (n, d)),
     ("labels", attrgetter("labels"), LABEL_KINDS, lambda n, d, c: (n,)),
@@ -351,19 +348,20 @@ _LAYOUT = (
     ("offsets", attrgetter("offsets"), "i", lambda n, d, c: (c + 1,)),
     ("order", attrgetter("order"), "i", lambda n, d, c: (n,)),
 )
+_LAYOUTS = {1: (_LAYOUT[0], ("origin", None, "f", lambda n, d, c: (d,)), *_LAYOUT[1:]), 2: _LAYOUT}
 
 
 def save_index(index: GridIndex, path) -> None:
-    """Write the index to a deterministic binary file.
+    """Write the index to a deterministic binary file, version 2.
 
-    Layout: magic, length-prefixed JSON header (metric plus array dtypes
-    and shapes), then the raw bytes of each array of _LAYOUT in its order.
+    Layout: magic, length-prefixed JSON header (version, metric, and array
+    dtypes and shapes), then the raw bytes of each array of _LAYOUT in order.
     The offsets and order arrays are the index's CSR arrays, written as is.
     save -> load -> save reproduces the file byte for byte.
     """
     arrays = {name: np.ascontiguousarray(source(index)) for name, source, _kinds, _shape in _LAYOUT}
     meta = {name: {"dtype": a.dtype.str, "shape": list(a.shape)} for name, a in arrays.items()}
-    blob = json.dumps({"version": 1, "metric": index.metric, "arrays": meta}, sort_keys=True).encode()
+    blob = json.dumps({"version": 2, "metric": index.metric, "arrays": meta}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -373,17 +371,17 @@ def save_index(index: GridIndex, path) -> None:
 
 
 def load_index(path) -> GridIndex:
-    """Read an index written by save_index.
+    """Read an index written by save_index, version 2 or 1.
 
-    The header must give version 1, a known metric and each array's dtype
-    kind and shape, the file's size must match the header, and every shape
-    must agree with the n, d and c that coords and cell_ids give, before any
-    array is read. Then offsets must rise strictly from 0 to n, order must
-    be a permutation of 0..n-1, cell ids must rise strictly inside +-2**62,
-    coordinates must be finite, labels free of NaN and widths positive and
-    finite. A change to the order region breaks the permutation; one to
-    offsets is caught when it breaks the strict rise. Coordinates and
-    labels are not checksummed; they come back read-only.
+    The header must give the int 2 or 1, a known metric and each array's dtype
+    kind and shape in that version's _LAYOUTS, the file's size must match the
+    header, and every shape must agree with the n, d and c that coords and
+    cell_ids give, before any array is read. Then offsets must rise strictly
+    from 0 to n, order be a permutation of 0..n-1, cell ids rise strictly
+    inside +-2**62, coordinates be finite, labels free of NaN, widths positive
+    and finite and split counts at least 1. A change to order breaks the
+    permutation; one to offsets is caught when it breaks the strict rise.
+    Coordinates and labels are not checksummed; they come back read-only.
     Raises ValueError naming the path for a truncated or corrupt file.
     """
     with open(path, "rb") as fh:
@@ -395,10 +393,11 @@ def load_index(path) -> GridIndex:
         (blob_len,) = struct.unpack("<I", head)
         try:
             header = json.loads(fh.read(blob_len))
-            if header.get("version") != 1:
+            version = header.get("version")
+            if type(version) is not int or version not in _LAYOUTS:
                 raise ValueError("unsupported index version")
             metric = header["metric"]
-            entries = [(name, kinds, header["arrays"][name]) for name, _source, kinds, _shape in _LAYOUT]
+            entries = [(name, kinds, header["arrays"][name]) for name, _source, kinds, _shape in _LAYOUTS[version]]
             layout = [(name, kinds, np.dtype(e["dtype"]), tuple(e["shape"])) for name, kinds, e in entries]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad header: {exc}") from None
@@ -416,7 +415,7 @@ def load_index(path) -> GridIndex:
         if len(shapes["coords"]) != 2 or len(shapes["cell_ids"]) != 2 or 0 in shapes["coords"]:
             raise ValueError(f"{path}: coords and cell_ids must be non-empty matrices")
         (n, d), c = shapes["coords"], shapes["cell_ids"][0]
-        for name, _source, _kinds, shape_of in _LAYOUT:
+        for name, _source, _kinds, shape_of in _LAYOUTS[version]:
             if shapes[name] != shape_of(n, d, c):
                 raise ValueError(f"{path}: {name} has shape {shapes[name]}, expected {shape_of(n, d, c)}")
         arrays = {}
@@ -430,7 +429,7 @@ def load_index(path) -> GridIndex:
     try:
         _check_finite(arrays["coords"])
         _check_labels(arrays["labels"])
-        params = GridParams(arrays["widths"], arrays["origin"], arrays["splits"])
+        params = GridParams(arrays["widths"], arrays["splits"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return GridIndex(params, arrays["coords"], arrays["labels"], metric, arrays["cell_ids"], order, offsets)

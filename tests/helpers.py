@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gridneighbors import points_from_arrays
-from gridneighbors.grid import _LAYOUT, _MAGIC
+from gridneighbors.grid import _LAYOUTS, _MAGIC
 
 
 def clustered(rng, n, d, n_clusters=None, spread=None):
@@ -72,10 +72,10 @@ def _header(data: bytes) -> tuple[dict, int]:
 
 
 def regions(data: bytes) -> dict:
-    """Byte range of each array in an index file, in file order, from its header."""
+    """Byte range of each array in an index file, in file order, from its header and its version's layout."""
     header, pos = _header(data)
     out = {}
-    for name, _source, _kinds, _shape in _LAYOUT:
+    for name, _source, _kinds, _shape in _LAYOUTS[header["version"]]:
         meta = header["arrays"][name]
         size = np.dtype(meta["dtype"]).itemsize * math.prod(meta["shape"])
         out[name] = (pos, pos + size)

@@ -79,7 +79,7 @@ def test_criterion_2_paper_walkthrough():
     )
     index = build(
         points_from_arrays(X, [0, 0, 1, 1, 1, 0]),
-        params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]),
+        params=GridParams([1.0, 1.0], [1, 1]),
     )
     neighbors, stats = knn_query(index, (5.5, 5.5), 3, "heuristic")
     ok = stats.layers_visited == 2 and len(neighbors) == 3

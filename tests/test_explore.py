@@ -75,7 +75,7 @@ def _walkthrough_index():
         ]
     )
     pts = points_from_arrays(X, [0, 0, 1, 1, 1, 0])
-    return build(pts, params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+    return build(pts, params=GridParams([1.0, 1.0], [1, 1]))
 
 
 class TestKnnQuery:
@@ -153,7 +153,7 @@ class TestKnnQuery:
         # does not increase. Widths are pinned: refitting on the larger
         # sample would refine the grid and confound the density effect.
         q = np.array([0.0, 0.0])
-        params = GridParams([0.5, 0.5], [-10.0, -10.0], [40, 40])
+        params = GridParams([0.5, 0.5], [40, 40])
         depths = []
         for n in (500, 4000, 32000):
             X = rng.uniform(-10, 10, (n, 2))
@@ -222,7 +222,7 @@ class TestQueryBoundaries:
         # walk repeated that round forever.
         big = sign * (2.0**62 - 512 * np.arange(8, 16))
         X = np.stack(np.meshgrid(big, np.arange(8) + 0.5), -1).reshape(-1, 2)
-        index = build(points_from_arrays(X, np.arange(64) % 3), params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 8]))
+        index = build(points_from_arrays(X, np.arange(64) % 3), params=GridParams([1.0, 1.0], [1, 8]))
         bi = brute_build(points_from_arrays(X, np.arange(64) % 3))
         q = (-sign * (2.0**62 - 2**20), 3.0)
         for k in (1, 10, 64):
@@ -240,7 +240,7 @@ def test_a_one_cell_query_stays_within_its_call_budget():
     # over that. The first query builds the index's lazy arrays.
     rng = np.random.default_rng(5)
     X = rng.uniform(0.1, 0.9, (20, 3))
-    index = build(points_from_arrays(X, np.arange(20) % 3), params=GridParams([1.0] * 3, [0.0] * 3, [1] * 3))
+    index = build(points_from_arrays(X, np.arange(20) % 3), params=GridParams([1.0] * 3, [1] * 3))
     q = np.array([0.5, 0.4, 0.6])
     knn_query(index, q, 3, "guaranteed")
     (got, stats), calls = c_calls(knn_query, index, q, 3, "guaranteed")

@@ -26,7 +26,7 @@ def lattices(draw):
     w = draw(st.integers(1, 3))
     X = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d), -1).reshape(-1, d)
     q = np.array([w * draw(st.integers(-1, side // w + 1)) + draw(EDGE) for _ in range(d)])
-    return X, GridParams([float(w)] * d, [0.0] * d, [max(1, side // w)] * d), q
+    return X, GridParams([float(w)] * d, [max(1, side // w)] * d), q
 
 
 @st.composite
@@ -90,7 +90,7 @@ def test_lattice_reads_both_one_cell_and_multi_cell_layers(monkeypatch):
     monkeypatch.setattr(explore, "_positions", spy)
     X = np.stack(np.meshgrid(*[np.arange(6.0)] * 2), -1).reshape(-1, 2)
     points = points_from_arrays(X, [0] * 36)
-    index = build(points, params=GridParams([2.0, 2.0], [0.0, 0.0], [3, 3]))
+    index = build(points, params=GridParams([2.0, 2.0], [3, 3]))
     q = np.array([2.0 - 1e-12, 2.0])
     got, _ = knn_query(index, q, 36, "guaranteed")
     assert _pairs(got) == _pairs(brute_knn(brute_build(points), q, 36))

@@ -70,7 +70,7 @@ def test_lattice_queries_on_cell_edges(rng, metric):
         side = {1: 12, 2: 6, 3: 4}[d]
         X = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d), -1).reshape(-1, d)
         n = X.shape[0]
-        params = GridParams([1.0] * d, [0.0] * d, [side] * d)
+        params = GridParams([1.0] * d, [side] * d)
         index = build(points_from_arrays(X, np.arange(n) % 3), metric, params=params)
         queries = [X[int(rng.integers(0, n))] + rng.choice([-1e-12, 0.0, 1e-12], d) for _ in range(4)]
         queries.append(np.full(d, side / 2.0))
@@ -94,7 +94,7 @@ def test_two_clusters_with_wide_empty_runs(rng, metric):
     for d in (1, 2, 3):
         X = np.concatenate([rng.normal(0, 1, (60, d)), rng.normal(100, 1, (60, d))])
         widths = np.full(d, 0.5)
-        params = GridParams(widths, X.min(axis=0), np.full(d, 400))
+        params = GridParams(widths, np.full(d, 400))
         index = build(points_from_arrays(X, [0] * 60 + [1] * 60), metric, params=params)
         queries = [X[3] + 0.1, X[70] - 0.1, np.full(d, 50.0), np.full(d, 30.0)]
         _assert_same(index, queries, [1, 5, 60, 61, 120])
@@ -102,7 +102,7 @@ def test_two_clusters_with_wide_empty_runs(rng, metric):
     # distance 3 to (0, -3), which is not enough to stop: the walk must go
     # on across the empty layers to layer 4.
     X = np.array([[0.0, 0.0], [0.0, -3.0], [10.5, 0.0]])
-    params = GridParams([1.0, 3.0], [0.0, -3.0], [1, 1])
+    params = GridParams([1.0, 3.0], [1, 1])
     index = build(points_from_arrays(X, [0, 1, 2]), metric, params=params)
     _assert_same(index, [np.zeros(2)], [2])
     assert knn_query(index, np.zeros(2), 2, "guaranteed")[1].layers_visited == 4
@@ -125,7 +125,7 @@ def test_queries_outside_the_box_in_every_dimension(rng, metric):
     # cells just inside the +-2**62 bound.
     X = _fat_cells(rng, 3)
     index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric,
-                  params=GridParams(np.full(3, 5.0), X.min(axis=0), np.ones(3, dtype=np.int64)))
+                  params=GridParams(np.full(3, 5.0), np.ones(3, dtype=np.int64)))
     lo, hi = X.min(axis=0), X.max(axis=0)
     signs = np.array(list(itertools.product([-1, 1], repeat=3)))
     queries = list(np.where(signs > 0, hi, lo) + signs * rng.uniform(1, 60, signs.shape))
@@ -135,7 +135,7 @@ def test_queries_outside_the_box_in_every_dimension(rng, metric):
         big = sign * (2.0**62 - 512 * np.arange(8, 16))  # floats near 2**62 lie 512 apart
         Y = np.stack(np.meshgrid(big, np.arange(8) + 0.5), -1).reshape(-1, 2)
         near = build(points_from_arrays(Y, rng.integers(0, 3, len(Y))), metric,
-                     params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 8]))
+                     params=GridParams([1.0, 1.0], [1, 8]))
         assert near.cell_cols.dtype == np.int16
         queries = [np.array([big.max() + 1024, -3.2]), np.array([big.min() - 2048, 12.5])]
         _assert_same(near, queries, [1, 10, len(Y)])
@@ -167,7 +167,7 @@ def _edge_index(x0, lo, metric):
     # Cell 1 = [4, 8) holds lo (index 0) and 6 (index 2): its box starts
     # at lo, so its box key is lo's key.
     X = np.array([[lo], [x0], [6.0]])
-    return build(points_from_arrays(X, [0, 1, 2]), metric, GridParams([4.0], [0.0], [2]))
+    return build(points_from_arrays(X, [0, 1, 2]), metric, GridParams([4.0], [2]))
 
 
 def _box_and_kth_keys(index, q):
@@ -226,7 +226,7 @@ def test_fat_cells_with_outliers(monkeypatch, rng, metric, d):
     # dozens of cells of up to a few hundred points each.
     X = _fat_cells(rng, d)
     n = X.shape[0]
-    for params in (None, GridParams(np.full(d, 5.0), X.min(axis=0), np.ones(d, dtype=np.int64))):
+    for params in (None, GridParams(np.full(d, 5.0), np.ones(d, dtype=np.int64))):
         index = build(points_from_arrays(X, rng.integers(0, 3, n)), metric, params=params)
         assert np.diff(index.offsets).max() >= 100
         queries = [X[i] + rng.normal(0, 0.5, d) for i in rng.integers(0, n - 8, 5)]
@@ -252,7 +252,7 @@ def test_fat_cells_with_outliers(monkeypatch, rng, metric, d):
 def _lattice_index(d, side, metric, rng):
     """Integer points on a side^d lattice in width-2 cells: distances tie in many ways."""
     X = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d), -1).reshape(-1, d)
-    params = GridParams([2.0] * d, [0.0] * d, [side // 2] * d)
+    params = GridParams([2.0] * d, [side // 2] * d)
     return build(points_from_arrays(X, rng.integers(0, 3, X.shape[0])), metric, params=params)
 
 
@@ -292,7 +292,7 @@ def test_near_layers_in_a_dense_box_skip_the_slab_search(monkeypatch, rng):
     outside = walk(index, [-1, 6])
     assert outside[0][0] == 1 and outside[0][2] > 0
     sparse = build(points_from_arrays(np.array([[0.5, 0.5], [40.5, 0.5], [1.5, 0.5]]), [0, 1, 2]),
-                   params=GridParams([1.0, 1.0], [0.0, 0.0], [41, 1]))
+                   params=GridParams([1.0, 1.0], [41, 1]))
     assert sparse.cell_table is None
     assert walk(sparse, [0, 0])[0][2] > 0
 
@@ -306,7 +306,7 @@ def test_an_empty_table_layer_ends_a_heuristic_walk_without_a_slab_round(monkeyp
     X = np.array([[10.05, 10.05], [10.05, 10.5], [10.05, 10.95]]
                  + [[10.5 + 0.6 * dx, 10.5 + 0.6 * dy] for dx, dy in itertools.product([-1, 0, 1], repeat=2) if dx or dy]
                  + [[x + 0.5, y + 0.5] for x, y in ring])
-    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), params=GridParams([1.0, 1.0], [1, 1]))
     assert index.cell_table is not None
     q = np.array([10.9, 10.5])
     for metric in METRICS:
@@ -350,7 +350,7 @@ def test_table_walk_near_the_cell_id_bound(rng, metric, big, sign):
     x0 = sign * (2.0**62 - 512)
     X = np.empty((40, 2))
     X[:, big], X[:, 1 - big] = x0, rng.uniform(0, 8, 40)
-    params = GridParams([1.0, 1.0], [0.0, 0.0], [1, 8][:: 1 - 2 * big])
+    params = GridParams([1.0, 1.0], [1, 8][:: 1 - 2 * big])
     index = build(points_from_arrays(X, rng.integers(0, 3, 40)), metric, params=params)
     assert index.cell_lo[big] == index.cell_hi[big] == sign * (2**62 - 512)
     assert index.cell_table is not None
@@ -414,7 +414,7 @@ def test_thin_rounds_near_the_cell_id_bound(rng, metric, sign):
     big = sign * (2.0**62 - 512 * rng.permutation(np.arange(1, 9)))
     X = np.stack(np.meshgrid(big, np.arange(8) + 0.5), -1).reshape(-1, 2)
     X[:, 1] += rng.uniform(-0.4, 0.4, len(X))
-    params = GridParams([1.0, 1.0], [0.0, 0.0], [1, 8])
+    params = GridParams([1.0, 1.0], [1, 8])
     index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=params)
     assert index.size == index.offsets.size - 1 and index.cell_table is None
     queries = [X[i] + [0.0, 0.3] for i in rng.integers(0, len(X), 2)]
@@ -477,7 +477,7 @@ def test_a_thin_round_is_merged_once_and_fat_layers_are_box_tested_one_by_one(mo
     # merged; each box test covers the cells of one layer.
     merges.clear()
     X = _fat_cells(rng, 3)
-    params = GridParams(np.full(3, 5.0), X.min(axis=0), np.ones(3, dtype=np.int64))
+    params = GridParams(np.full(3, 5.0), np.ones(3, dtype=np.int64))
     fat = build(points_from_arrays(X, rng.integers(0, 3, len(X))), params=params)
     q = X[-1] + 1.0  # beside an outlier: the walk crosses several fat layers
     got, stats = knn_query(fat, q, 5, "guaranteed")
@@ -599,7 +599,7 @@ def test_guaranteed_round_stops_inside_before_and_after_its_rows(monkeypatch, rn
     queries = [np.array([6.0, 6.1]), np.array([0.2, 0.3]), np.array([11.7, 11.9]), np.array([30.0, 6.0]), np.array([100.0, 5.0])]
     for shared in (False, True):
         X = _two_blocks(rng, shared)
-        index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+        index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=GridParams([1.0, 1.0], [1, 1]))
         assert index.cell_table is None and (index.size > index.offsets.size - 1) == shared
         ks = [1, 10, 144, index.size]
         _assert_same(index, queries, ks)
@@ -627,7 +627,7 @@ def test_a_round_cannot_stop_below_the_layer_of_its_kth_row(metric):
     # at layer 2, before p's layer, where the reference walk does not.
     p, q, w = 12.55726279226678, 11.079937757882453, 0.7386625171921636
     assert np.floor(p / w) == 17 and np.floor(q / w) == 14 and p - q < 2 * w
-    index = build(points_from_arrays(np.array([[p]]), [0]), metric, params=GridParams([w], [0.0], [1]))
+    index = build(points_from_arrays(np.array([[p]]), [0]), metric, params=GridParams([w], [1]))
     _assert_same(index, [np.array([q])], [1])
     assert knn_query(index, [q], 1, "guaranteed")[1] == explore.QueryStats(3, 1, 1)
 
@@ -640,7 +640,7 @@ def test_heuristic_rounds_walk_on_past_the_fill_layer(monkeypatch, rng, metric):
     # the index without a cell table, so every layer comes from rounds.
     g = np.stack(np.meshgrid(np.arange(30), np.arange(30)), -1).reshape(-1, 2) + 0.5
     X = np.vstack([g + rng.uniform(-0.3, 0.3, g.shape), [[400.5, 0.5]]])
-    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+    index = build(points_from_arrays(X, rng.integers(0, 3, len(X))), metric, params=GridParams([1.0, 1.0], [1, 1]))
     assert index.cell_table is None and index.size == index.offsets.size - 1
     queries = [np.array([15.0, 15.0]), np.array([0.1, 29.9]), np.array([7.3, 21.6]), np.array([-5.0, 12.0])]
     ks = [1, 10, 50, index.size]

@@ -26,13 +26,15 @@ from gridneighbors import (
     save_index,
 )
 from gridneighbors import grid
-from gridneighbors.grid import _MAGIC, _PROBE, _SPLIT_BLOCK, _max_splits_1d
-from helpers import SIGNED_ZEROS, ZERO_MATRICES, regions, rewrite_index
+from gridneighbors.grid import _LAYOUT, _MAGIC, _PROBE, _SPLIT_BLOCK, _max_splits_1d
+from helpers import regions, rewrite_index
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "data" / "index_v1.ghn"
+GOLDEN = ROOT / "tests" / "data" / "index_v2.ghn"
+#: The same index in version 1, which also held origin, the training minima.
+GOLDEN_V1 = ROOT / "tests" / "data" / "index_v1.ghn"
 
 
 def _pts(rows):
@@ -275,7 +277,6 @@ class TestSplitSearchBlocks:
         loop = [_loop_max_splits(points.coords[:, j]) for j in range(points.coords.shape[1])]
         assert params.splits.tolist() == [s for s, _ in loop]
         assert params.widths.tobytes() == np.array([w for _, w in loop]).tobytes()
-        assert params.origin.tobytes() == points.coords.min(axis=0).tobytes()
 
 
 class TestSplitSearchWork:
@@ -308,32 +309,32 @@ class TestSplitSearchWork:
 
 class TestHashCell:
     def test_floor_of_coordinates(self):
-        params = GridParams([1.0, 1.0], [0.0, 0.0], [1, 1])
+        params = GridParams([1.0, 1.0], [1, 1])
         assert hash_cell((2.5, 3.7), params) == (2, 3)
 
     def test_origin(self):
-        params = GridParams([0.3, 2.0, 5.0], [0.0] * 3, [1] * 3)
+        params = GridParams([0.3, 2.0, 5.0], [1] * 3)
         assert hash_cell((0, 0, 0), params) == (0, 0, 0)
 
     def test_negative_floors_toward_minus_infinity(self):
-        params = GridParams([1.0], [0.0], [1])
+        params = GridParams([1.0], [1])
         assert hash_cell((-0.5,), params) == (-1,)
 
     def test_dimension_mismatch(self):
-        params = GridParams([1.0], [0.0], [1])
+        params = GridParams([1.0], [1])
         with pytest.raises(ValueError):
             hash_cell((1.0, 2.0), params)
 
     def test_cell_id_past_bound_rejected(self):
         # The same checked rule as build and knn_query, not a 300-digit int.
-        params = GridParams([1.0], [0.0], [1])
+        params = GridParams([1.0], [1])
         with pytest.raises(ValueError, match=r"2\*\*62"):
             hash_cell((1e300,), params)
 
     @pytest.mark.parametrize("p", [(math.nan,), (math.inf,), (-math.inf,), (0.5, math.nan), (math.inf, 1e300)])
     def test_non_finite_point_rejected(self, p):
         # The query's rule, not "too far from the origin".
-        params = GridParams([1.0] * len(p), [0.0] * len(p), [1] * len(p))
+        params = GridParams([1.0] * len(p), [1] * len(p))
         with pytest.raises(ValueError, match="non-finite coordinate"):
             hash_cell(p, params)
 
@@ -355,12 +356,12 @@ class TestBuild:
 
     def test_buckets_preserve_input_order(self):
         X = np.array([[0.1], [0.2], [0.15], [1.5]])
-        index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [0.0], [1]))
+        index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [1]))
         assert cell_points(index, (0,)) == [0, 1, 2]
         assert cell_points(index, np.array([1])) == [3]
 
     def test_cell_points_absent(self):
-        index = build(_pts([[1.0, 1.0]]), params=GridParams([1.0, 1.0], [0.0, 0.0], [1, 1]))
+        index = build(_pts([[1.0, 1.0]]), params=GridParams([1.0, 1.0], [1, 1]))
         assert cell_points(index, (1, 1)) == [0]
         # A non-integer cell is not truncated to the occupied cell (1, 1).
         for cell in [(99, 99), (1.9, 1), (1, 1.5), (2**70, 1), (float("nan"), 1)]:
@@ -459,7 +460,7 @@ class TestCellCoords:
 class TestCellBoxes:
     def test_exact_per_cell_min_and_max(self, rng):
         X = np.concatenate([rng.normal(0, 2, (300, 3)), [[40.0, -40.0, 0.5]]])
-        index = build(points_from_arrays(X, [0] * 301), params=GridParams([1.5] * 3, [0.0] * 3, [1] * 3))
+        index = build(points_from_arrays(X, [0] * 301), params=GridParams([1.5] * 3, [1] * 3))
         lo, hi = index.cell_boxes
         assert lo.shape == hi.shape == index.cell_array.shape
         for i, cell in enumerate(index.cell_array):
@@ -488,7 +489,7 @@ class TestCellBoxes:
 
     def test_not_built_when_every_cell_holds_one_point(self):
         X = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1).reshape(-1, 2)
-        index = build(points_from_arrays(X, [0] * 64), params=GridParams([1.0, 1.0], [0.0, 0.0], [8, 8]))
+        index = build(points_from_arrays(X, [0] * 64), params=GridParams([1.0, 1.0], [8, 8]))
         for q in X[::5] + 0.3:
             for mode in ("heuristic", "guaranteed"):
                 knn_query(index, q, 4, mode)
@@ -514,7 +515,7 @@ class TestCellCols:
         # outside it past each end, in both dimensions, and 40,000 cells out
         # in the second, which for the int16 box is more than its side.
         X = np.array([[0.5, 0.5], [side - 0.5, 0.5], [side // 2 + 0.5, 0.5]])
-        index = build(points_from_arrays(X, [0, 1, 2]), params=GridParams([1.0, 1.0], [0.0, 0.0], [side, 1]))
+        index = build(points_from_arrays(X, [0, 1, 2]), params=GridParams([1.0, 1.0], [side, 1]))
         assert index.cell_hi[0] - index.cell_lo[0] + 1 == side and index.cell_table is None
         assert index.cell_cols.dtype == dtype
         assert index.cell_cols.tolist() == (index.cell_array - index.cell_lo).T.tolist()
@@ -554,7 +555,7 @@ class TestCellTable:
     @staticmethod
     def _dense(rng, d=2):
         X = rng.uniform(0, 6, (300, d))
-        return build(points_from_arrays(X, rng.integers(0, 3, 300)), params=GridParams([1.0] * d, [0.0] * d, [6] * d))
+        return build(points_from_arrays(X, rng.integers(0, 3, 300)), params=GridParams([1.0] * d, [6] * d))
 
     @staticmethod
     def _key(table, cell):
@@ -582,7 +583,7 @@ class TestCellTable:
         # Two points, in cells 0 and s - 1: the padded box holds s + 4 cells.
         def index(s):
             X = np.array([[0.5], [s - 0.5]])
-            return build(points_from_arrays(X, [0, 1]), params=GridParams([1.0], [0.0], [s]))
+            return build(points_from_arrays(X, [0, 1]), params=GridParams([1.0], [s]))
 
         assert index(12).cell_table is not None  # 16 cells
         assert index(13).cell_table is None  # 17 cells
@@ -620,44 +621,51 @@ def _golden_data():
 
 class TestIndexFileChecks:
     def test_golden_file_loads_and_rebuilds_byte_identically(self, tmp_path):
-        # tests/data/index_v1.ghn was written by the bucket-list layout
-        # that preceded CSR; the format must not change.
+        # tests/data/index_v2.ghn is what save_index writes for this build, and
+        # version 2 must not change. index_v1.ghn, written in version 1 by the
+        # bucket-list layout that preceded CSR, must load to the same index and
+        # re-save as the version 2 file.
         X, y = _golden_data()
-        loaded = load_index(GOLDEN)
         built = build(points_from_arrays(X, y))
         save_index(built, tmp_path / "built.ghn")
-        save_index(loaded, tmp_path / "resaved.ghn")
         assert (tmp_path / "built.ghn").read_bytes() == GOLDEN.read_bytes()
-        assert (tmp_path / "resaved.ghn").read_bytes() == GOLDEN.read_bytes()
-        for q in [(0.1, -0.2), (3.0, 3.0), (-40.0, 7.0)]:
-            for mode in ("heuristic", "guaranteed"):
-                a, sa = knn_query(loaded, q, 4, mode)
-                b, sb = knn_query(built, q, 4, mode)
-                assert [(n.distance, n.point_index, n.label) for n in a] == [
-                    (n.distance, n.point_index, n.label) for n in b
-                ]
-                assert sa == sb
+        for golden in (GOLDEN, GOLDEN_V1):
+            loaded = load_index(golden)
+            for _name, source, _kinds, _shape in _LAYOUT:
+                assert source(loaded).dtype == source(built).dtype and np.array_equal(source(loaded), source(built))
+            save_index(loaded, tmp_path / "resaved.ghn")
+            assert (tmp_path / "resaved.ghn").read_bytes() == GOLDEN.read_bytes()
+            for q in [(0.1, -0.2), (3.0, 3.0), (-40.0, 7.0)]:
+                for mode in ("heuristic", "guaranteed"):
+                    a, sa = knn_query(loaded, q, 4, mode)
+                    b, sb = knn_query(built, q, 4, mode)
+                    assert [(n.distance, n.point_index, n.label) for n in a] == [
+                        (n.distance, n.point_index, n.label) for n in b
+                    ]
+                    assert sa == sb
 
     def test_truncated_file_rejected_naming_the_path(self, tmp_path):
-        data = GOLDEN.read_bytes()
         path = tmp_path / "cut.ghn"
-        for cut in range(0, len(data), 7):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match="cut.ghn"):
-                load_index(path)
+        for golden in (GOLDEN, GOLDEN_V1):
+            data = golden.read_bytes()
+            for cut in range(0, len(data), 7):
+                path.write_bytes(data[:cut])
+                with pytest.raises(ValueError, match="cut.ghn"):
+                    load_index(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.ghn"
-        path.write_bytes(GOLDEN.read_bytes() + b"\0")
-        with pytest.raises(ValueError, match="long.ghn"):
-            load_index(path)
+        for golden in (GOLDEN, GOLDEN_V1):
+            path.write_bytes(golden.read_bytes() + b"\0")
+            with pytest.raises(ValueError, match="long.ghn"):
+                load_index(path)
 
     @pytest.mark.parametrize("region", ["offsets", "order"])
     def test_every_flipped_byte_in_csr_arrays_rejected(self, tmp_path, region):
         # One point per cell: offsets are 0..n, so any change to one entry
         # breaks the strict rise; any change to a permutation breaks it.
         X = np.arange(30.0).reshape(-1, 1)
-        index = build(points_from_arrays(X, [0] * 30), params=GridParams([1.0], [0.0], [30]))
+        index = build(points_from_arrays(X, [0] * 30), params=GridParams([1.0], [30]))
         good = tmp_path / "good.ghn"
         save_index(index, good)
         data = good.read_bytes()
@@ -675,15 +683,21 @@ class TestIndexFileChecks:
             load_index(path)
 
 
-#: The file's arrays, in file order.
-NAMES = tuple(regions(GOLDEN.read_bytes()))
+#: The arrays of either version, in version 1's file order: all but origin are version 2's.
+NAMES = tuple(regions(GOLDEN_V1.read_bytes()))
+
+
+def _golden(name):
+    """The golden file to break name in: version 2, or version 1 for origin, which load_index still checks there."""
+    return GOLDEN_V1 if name == "origin" else GOLDEN
 
 
 class TestLoadRejections:
     """Every check of load_index, each on a file that breaks only that check.
 
     The files are the golden index (40 points, 2-d, every array of 8-byte
-    items) with its header or some of its arrays rewritten.
+    items) with its header or some of its arrays rewritten, in version 2
+    but for version 1's origin.
     """
 
     @staticmethod
@@ -697,6 +711,7 @@ class TestLoadRejections:
         loaded = load_index(GOLDEN)
         assert loaded.coords.shape == (40, 2) and loaded.labels.dtype == np.int64
         assert 1 < loaded.cell_array.shape[0] < 40
+        assert tuple(regions(GOLDEN.read_bytes())) == tuple(name for name in NAMES if name != "origin")
 
     @pytest.mark.parametrize("name", NAMES)
     def test_wrong_dtype_kind_rejected(self, tmp_path, name):
@@ -705,7 +720,7 @@ class TestLoadRejections:
             # Same item size, so only the kind is wrong; labels may be ints or floats.
             header["arrays"][name]["dtype"] = "<m8[s]" if name == "labels" else {"<f8": "<i8", "<i8": "<f8"}[saved]
 
-        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"{name} has dtype")
+        self._rejected(tmp_path, rewrite_index(_golden(name).read_bytes(), edit), f"{name} has dtype")
 
     @staticmethod
     def _shape_grown(name):
@@ -723,7 +738,7 @@ class TestLoadRejections:
             shapes[donor][-1] -= math.prod(shapes[name][:-1])
             shapes[name][-1] += 1
 
-        return rewrite_index(GOLDEN.read_bytes(), edit), {"coords": "widths", "order": "labels"}.get(name, name)
+        return rewrite_index(_golden(name).read_bytes(), edit), {"coords": "widths", "order": "labels"}.get(name, name)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_wrong_shape_rejected(self, tmp_path, name):
@@ -746,7 +761,7 @@ class TestLoadRejections:
         def edit(header):
             header["arrays"][name]["shape"][0] = entry
 
-        self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), f"corrupt header entry for {name}")
+        self._rejected(tmp_path, rewrite_index(_golden(name).read_bytes(), edit), f"corrupt header entry for {name}")
 
     def test_huge_shape_rejected_by_the_file_size(self, tmp_path):
         def edit(header):
@@ -754,7 +769,7 @@ class TestLoadRejections:
 
         self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), "file size does not match")
 
-    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    @pytest.mark.parametrize("version", [0, 3, "1", "2", None, True, 1.0])
     def test_other_version_rejected(self, tmp_path, version):
         def edit(header):
             header["version"] = version
@@ -773,6 +788,12 @@ class TestLoadRejections:
         widths[1] = width
         data = rewrite_index(GOLDEN.read_bytes(), widths=widths)
         self._rejected(tmp_path, data, "all cell widths must be positive and finite")
+
+    def test_zero_split_count_rejected(self, tmp_path):
+        splits = load_index(GOLDEN).params.splits.copy()
+        splits[1] = 0
+        data = rewrite_index(GOLDEN.read_bytes(), splits=splits)
+        self._rejected(tmp_path, data, "every split count must be at least 1")
 
     @pytest.mark.parametrize("coords", [np.empty((0, 2)), np.zeros(80), np.zeros((40, 2, 1))], ids=["empty", "1-d", "3-d"])
     def test_coords_not_a_non_empty_matrix_rejected(self, tmp_path, coords):
@@ -806,7 +827,7 @@ class TestLoadRejections:
     def _line_index(first, last):
         """A 4-point 1-d index file with cells 0..3, its first and last ids replaced."""
         X = np.arange(4.0).reshape(-1, 1) + 0.2
-        index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [0.0], [4]))
+        index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [4]))
         cells = index.cell_array.copy()
         cells[0, 0], cells[-1, 0] = first, last
         return index, cells
@@ -833,11 +854,25 @@ class TestParamChecks:
     @pytest.mark.parametrize("width", [0.0, -2.0, np.inf, -np.inf, np.nan])
     def test_width_not_positive_and_finite_rejected(self, width):
         with pytest.raises(ValueError, match="positive and finite"):
-            GridParams([1.0, width], [0.0, 0.0], [1, 1])
+            GridParams([1.0, width], [1, 1])
+
+    @pytest.mark.parametrize(
+        "widths, splits",
+        [(np.ones((3, 3)), np.ones(3)), ([1.0, 2.0], [1]), ([1.0, 2.0], [1, 2, 3]), ([], []), (1.0, 1)],
+        ids=["2-d widths", "fewer splits", "more splits", "no dimension", "scalars"],
+    )
+    def test_geometry_other_than_d_widths_and_d_splits_rejected(self, widths, splits):
+        with pytest.raises(ValueError, match=r"are not both \(d,\), d >= 1"):
+            GridParams(widths, splits)
+
+    @pytest.mark.parametrize("split", [0, -1])
+    def test_split_count_below_1_rejected(self, split):
+        with pytest.raises(ValueError, match="every split count must be at least 1"):
+            GridParams([1.0, 1.0], [1, split])
 
     def test_build_with_params_of_another_dimension_rejected(self):
         with pytest.raises(ValueError, match="params dimension does not match the data"):
-            build(_pts([[1.0, 2.0], [3.0, 4.0]]), params=GridParams([1.0], [0.0], [1]))
+            build(_pts([[1.0, 2.0], [3.0, 4.0]]), params=GridParams([1.0], [1]))
 
 
 class TestCellIdBounds:
@@ -905,7 +940,6 @@ class TestColumnPasses:
         data = rewrite_index(
             GOLDEN.read_bytes(),
             widths=np.ones(d),
-            origin=np.zeros(d),
             splits=np.ones(d, np.int64),
             coords=np.zeros((c, d)),
             labels=np.zeros(c, np.int64),
@@ -929,7 +963,7 @@ class TestColumnPasses:
     def test_build_starts_a_cell_at_each_new_row(self, case):
         rows, d = case
         X = np.array(rows, dtype=float).reshape(-1, d) + 0.5
-        index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.zeros(d), np.ones(d)))
+        index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.ones(d)))
         order = sorted(range(len(rows)), key=lambda i: rows[i])  # stable: input order inside a cell
         cells = sorted(set(rows))
         assert index.order.tolist() == order
@@ -937,15 +971,6 @@ class TestColumnPasses:
         assert index.offsets.tolist() == [0, *itertools.accumulate(rows.count(cell) for cell in cells)]
         assert index.cell_lo == np.min(rows, axis=0).tolist() and index.cell_hi == np.max(rows, axis=0).tolist()
         assert all(type(v) is int for v in index.cell_lo + index.cell_hi)
-
-    @settings(max_examples=300, deadline=None)
-    @given(X=ZERO_MATRICES)
-    @example(X=SIGNED_ZEROS)
-    def test_fitted_origin_is_the_axis_0_minimum_bit_for_bit(self, X):
-        # origin is saved in the file, so it stays X.min(axis=0): on SIGNED_ZEROS a
-        # column pass picks the other zero, and a zero's sign is part of the bytes.
-        X = np.array(X)
-        assert fit_cell_measurements(points_from_arrays(X, [0] * len(X))).origin.tobytes() == X.min(axis=0).tobytes()
 
     @staticmethod
     def _build_spying_on_lexsort(monkeypatch, rows, X):
@@ -960,7 +985,7 @@ class TestColumnPasses:
         d = len(rows[0])
         with monkeypatch.context() as m:
             m.setattr(np, "lexsort", spy)
-            index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.zeros(d), np.ones(d)))
+            index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.ones(d)))
         return index, calls
 
     def test_build_sorts_the_ids_less_the_box_corner_as_int16_keys(self, monkeypatch):
