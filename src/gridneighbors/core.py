@@ -175,9 +175,11 @@ def distances_to_keys(dists, metric: str):
 
 def _check_k(k) -> int:
     try:
-        return operator.index(k)  # accepts numpy integers, not 2.5 or "3"
+        if not isinstance(k, bool):  # operator.index takes True as 1
+            return operator.index(k)  # accepts numpy integers, not 2.5, "3" or np.True_
     except TypeError:
-        raise TypeError(f"k must be an integer, got {k!r}") from None
+        pass
+    raise TypeError(f"k must be an integer, got {k!r}")
 
 
 def check_query(q, dim: int, k: int, n: int) -> np.ndarray:

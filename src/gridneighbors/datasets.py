@@ -2,14 +2,14 @@
 splitting, and feature scaling.
 
 Each step takes and returns a PointSet and works on its whole coords
-matrix; no step builds a per-row object.
+matrix; load_csv parses the data rows in one np.loadtxt pass, checked
+for width, or row by row where that pass might differ from csv.reader.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,11 +42,12 @@ def load_csv(spec: DatasetSpec) -> PointSet:
     preserved.
 
     The header and the label column are resolved from the first rows by
-    csv.reader. The data rows are then parsed a column group at a time by
-    np.loadtxt, when the file's bytes show that it splits into the same
-    fields as csv.reader would split it; otherwise, or when np.loadtxt
-    rejects a field, the per-row csv.reader loop parses the file and names
-    the first bad line. Both parses give the same doubles and class ids.
+    csv.reader. The data rows are then parsed in one np.loadtxt pass over
+    every column, when the file's bytes show that it splits into the same
+    fields as csv.reader would split it and the table is ncols wide;
+    otherwise, or when np.loadtxt rejects a field, the per-row csv.reader
+    loop parses the file and names the first bad line. Both parses give the
+    same doubles and class ids.
     """
     with open(spec.path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
         rows = csv.reader(fh)
@@ -86,22 +87,21 @@ def _label_index(spec: DatasetSpec, header: list[str] | None, ncols: int) -> int
 
 
 def _parse_columns(spec: DatasetSpec, ncols: int, label_idx: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The data rows as (coords, labels) from two np.loadtxt passes, or None.
+    """The data rows as (coords, labels) from one np.loadtxt pass, or None.
 
     None unless the bytes prove np.loadtxt sees csv.reader's fields: no
-    quote (csv.reader unquotes), no NUL (numpy drops trailing NULs from a
-    string), no lone CR (csv.reader ends a line there), no blank line
-    (np.loadtxt skips it), no line longer than csv.reader's field limit,
-    and ncols - 1 commas a line. np.loadtxt raises on a row missing a used
-    column, and both passes use every column, so the comma total rules
-    out a row with extra ones. np.loadtxt reads a number as float() does,
-    but accepts fewer spellings (no "1_0", no non-ASCII digits); None also
-    when it rejects a field.
+    quote (csv.reader unquotes), no NUL (csv.reader before Python 3.11
+    rejects it), no lone CR (csv.reader ends a line there), no blank line
+    (np.loadtxt skips it) and no line longer than csv.reader's field limit.
+    The pass reads every column, so np.loadtxt raises on a row whose width
+    differs from the first row's, and a table ncols wide rules out a ragged
+    row. np.loadtxt reads a number as float() does, but accepts fewer
+    spellings (no "1_0", no non-ASCII digits); None also when it rejects a
+    field. A converter assigns class ids by _parse_rows' rule.
     """
     with open(spec.path, "rb") as fh:
         raw = fh.read()
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
     if not raw.endswith(b"\n"):
         ends = np.append(ends, len(raw))  # the last line has no newline
     line_bytes = np.diff(ends, prepend=-1)  # its newline included
@@ -113,30 +113,28 @@ def _parse_columns(spec: DatasetSpec, ncols: int, label_idx: int) -> tuple[np.nd
         or (crs and (crs != raw.count(b"\r\n") or b"\n\r\n" in raw))
         or (line_bytes == 1).any()
         or line_bytes.max() > csv.field_size_limit()
-        or np.count_nonzero(buf == ord(",")) != (ncols - 1) * ends.size
     ):
         return None
-    del raw, buf
-    read = partial(
-        np.loadtxt,
-        spec.path,
-        delimiter=",",
-        comments=None,
-        quotechar=None,
-        skiprows=int(spec.has_header),
-        encoding="utf-8-sig",
-    )
+    del raw
+    class_ids: dict[str, int] = {}
+    classify = {label_idx: lambda s: class_ids.setdefault(s, len(class_ids))}
     try:
-        coords = read(usecols=[j for j in range(ncols) if j != label_idx], ndmin=2)
-        if spec.task == "regression":
-            return coords, read(usecols=label_idx, ndmin=1)
-        names = read(usecols=label_idx, ndmin=1, dtype=str)  # sized to the longest label
+        table = np.loadtxt(
+            spec.path,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            skiprows=int(spec.has_header),
+            encoding="utf-8-sig",
+            ndmin=2,
+            converters=classify if spec.task == "classification" else None,
+        )
     except ValueError:
         return None
-    _, first, ids = np.unique(names, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)  # class ids in order of first appearance
-    return coords, rank[ids]
+    if table.shape[1] != ncols:
+        return None
+    labels = table[:, label_idx].astype(np.int64 if spec.task == "classification" else float)  # a copy: frees the table
+    return np.delete(table, label_idx, axis=1), labels
 
 
 def _parse_rows(spec: DatasetSpec, rows: list[list[str]], ncols: int, label_idx: int) -> tuple[list, list]:

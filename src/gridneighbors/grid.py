@@ -38,21 +38,22 @@ class GridParams:
     """Fitted grid geometry: per-dimension cell widths and split counts.
 
     Hashing anchors at zero, so the d >= 1 positive finite widths alone
-    place every cell; the d split counts, each at least 1, are for reporting.
+    place every cell; the d integer split counts, each >= 1, are only reported.
     """
 
     widths: np.ndarray
     splits: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "widths", np.asarray(self.widths, dtype=float))
-        object.__setattr__(self, "splits", np.asarray(self.splits, dtype=np.int64))
-        if self.widths.ndim != 1 or self.widths.size == 0 or self.splits.shape != self.widths.shape:
-            raise ValueError(f"widths {self.widths.shape} and splits {self.splits.shape} are not both (d,), d >= 1")
-        if not np.all((self.widths > 0) & np.isfinite(self.widths)):
-            raise ValueError("all cell widths must be positive and finite")
-        if not np.all(self.splits >= 1):
-            raise ValueError("every split count must be at least 1")
+        widths, splits = np.asarray(self.widths), np.asarray(self.splits)
+        if widths.ndim != 1 or widths.size == 0 or splits.shape != widths.shape:
+            raise ValueError(f"widths {widths.shape} and splits {splits.shape} are not both (d,), d >= 1")
+        if widths.dtype.kind not in "iuf" or not np.all((widths > 0) & np.isfinite(widths)):
+            raise ValueError("all cell widths must be positive and finite numbers")
+        if splits.dtype.kind != "i" or not np.all(splits >= 1):  # no bool, string or rounded float
+            raise ValueError("every split count must be at least 1 and of integer dtype")
+        object.__setattr__(self, "widths", np.asarray(widths, dtype=float))
+        object.__setattr__(self, "splits", np.asarray(splits, dtype=np.int64))
 
     @property
     def dim(self) -> int:

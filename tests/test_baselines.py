@@ -95,7 +95,7 @@ _SEARCHES = {
 }
 
 
-@pytest.mark.parametrize("k", [2.5, "3"])
+@pytest.mark.parametrize("k", [2.5, "3", True, False])
 @pytest.mark.parametrize("search", _SEARCHES)
 def test_non_integer_k_rejected_before_the_search(search, k):
     make, knn = _SEARCHES[search]

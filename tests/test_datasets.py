@@ -177,6 +177,7 @@ class TestLoadCsvMatchesRowLoop:
     @example(case=("a,b,label\r\n1,2,x\r\n\r\n3,4,y,9,9\r\n", "label", "classification", True))  # the same, CRLF
     @example(case=("a,b,label\n1,2,x\r\r\n3,4,y\n", "label", "classification", True))  # CR CRLF: a blank row
     @example(case=("a,b,label\n1,2,x\n3,4," + "x" * 131_073 + "\n", "label", "classification", True))  # field limit
+    @example(case=("a,b,label\n1,2,x,9\n3,4,y,9\n", "label", "classification", True))  # every row one wider than the header
     def test_same_points_or_same_error(self, tmp_path_factory, case):
         text, label_column, task, has_header = case
         path = tmp_path_factory.mktemp("csv") / "case.csv"
@@ -199,8 +200,17 @@ class TestLoadCsvMatchesRowLoop:
         def row_loop(*args):
             raise AssertionError("the row loop ran")
 
+        passes = []
+        loadtxt = np.loadtxt
+
+        def counted_loadtxt(*args, **kwargs):
+            passes.append(args)
+            return loadtxt(*args, **kwargs)
+
         monkeypatch.setattr(datasets, "_parse_rows", row_loop)
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
         assert _outcome(load_csv, spec) == expected
+        assert len(passes) == 1
 
     @pytest.mark.parametrize(
         "text, label_column, task",

@@ -851,7 +851,7 @@ class TestLoadRejections:
 
 
 class TestParamChecks:
-    @pytest.mark.parametrize("width", [0.0, -2.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("width", [0.0, -2.0, np.inf, -np.inf, np.nan, "1.5"])
     def test_width_not_positive_and_finite_rejected(self, width):
         with pytest.raises(ValueError, match="positive and finite"):
             GridParams([1.0, width], [1, 1])
@@ -865,10 +865,16 @@ class TestParamChecks:
         with pytest.raises(ValueError, match=r"are not both \(d,\), d >= 1"):
             GridParams(widths, splits)
 
-    @pytest.mark.parametrize("split", [0, -1])
+    @pytest.mark.parametrize("split", [0, -1, 1.5, 2.0, "3", 2**70, 1e300])
     def test_split_count_below_1_rejected(self, split):
         with pytest.raises(ValueError, match="every split count must be at least 1"):
             GridParams([1.0, 1.0], [1, split])
+
+    @pytest.mark.parametrize("widths, splits", [([True, True], [1, 1]), ([1.0, 1.0], [True, True])])
+    def test_bool_widths_or_splits_rejected(self, widths, splits):
+        # Only an all-bool list stays bool: [1.0, True] is the float vector [1.0, 1.0].
+        with pytest.raises(ValueError, match="positive and finite numbers|of integer dtype"):
+            GridParams(widths, splits)
 
     def test_build_with_params_of_another_dimension_rejected(self):
         with pytest.raises(ValueError, match="params dimension does not match the data"):
@@ -963,7 +969,7 @@ class TestColumnPasses:
     def test_build_starts_a_cell_at_each_new_row(self, case):
         rows, d = case
         X = np.array(rows, dtype=float).reshape(-1, d) + 0.5
-        index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.ones(d)))
+        index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.ones(d, dtype=int)))
         order = sorted(range(len(rows)), key=lambda i: rows[i])  # stable: input order inside a cell
         cells = sorted(set(rows))
         assert index.order.tolist() == order
@@ -985,7 +991,7 @@ class TestColumnPasses:
         d = len(rows[0])
         with monkeypatch.context() as m:
             m.setattr(np, "lexsort", spy)
-            index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.ones(d)))
+            index = build(points_from_arrays(X, [0] * len(rows)), params=GridParams(np.ones(d), np.ones(d, dtype=int)))
         return index, calls
 
     def test_build_sorts_the_ids_less_the_box_corner_as_int16_keys(self, monkeypatch):
