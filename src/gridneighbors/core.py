@@ -173,13 +173,13 @@ def distances_to_keys(dists, metric: str):
     return dists * dists if metric == "euclidean" else dists
 
 
-def _check_k(k) -> int:
+def _check_int(value, name: str) -> int:
     try:
-        if not isinstance(k, bool):  # operator.index takes True as 1
-            return operator.index(k)  # accepts numpy integers, not 2.5, "3" or np.True_
+        if not isinstance(value, bool):  # operator.index takes True as 1
+            return operator.index(value)  # accepts numpy integers, not 2.5, "3" or np.True_
     except TypeError:
         pass
-    raise TypeError(f"k must be an integer, got {k!r}")
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def check_query(q, dim: int, k: int, n: int) -> np.ndarray:
@@ -188,7 +188,7 @@ def check_query(q, dim: int, k: int, n: int) -> np.ndarray:
     Raises TypeError unless k is an integer, and ValueError unless q has
     dim finite coordinates and 1 <= k <= n.
     """
-    k = _check_k(k)
+    k = _check_int(k, "k")
     q = np.asarray(q, dtype=float)
     if q.shape != (dim,):
         raise ValueError(f"dimension mismatch: query {q.shape}, index {dim}")
@@ -224,7 +224,7 @@ class NeighborBuffer:
     """
 
     def __init__(self, capacity: int):
-        capacity = _check_k(capacity)
+        capacity = _check_int(capacity, "k")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet
+from .core import PointSet, _check_int
 
 SCALER_KINDS = ("standard", "minmax", "none")
 
@@ -25,13 +25,15 @@ class DatasetError(ValueError):
 @dataclass(frozen=True)
 class DatasetSpec:
     path: str
-    label_column: str | int
+    label_column: str | int  # a header name, or a column number (numpy integers too, not bool)
     task: str  # "classification" | "regression"
     has_header: bool = True
 
     def __post_init__(self) -> None:
         if self.task not in ("classification", "regression"):
             raise ValueError(f"unknown task {self.task!r}")
+        if not isinstance(self.label_column, str):
+            object.__setattr__(self, "label_column", _check_int(self.label_column, "label_column"))
 
 
 def load_csv(spec: DatasetSpec) -> PointSet:

@@ -90,12 +90,10 @@ def layer_cells(center, l: int) -> set[CellId]:
     center = tuple(int(c) for c in center)
     if l == 0:
         return {center}
-    d = len(center)
-    cells = set()
-    for offs in itertools.product(range(-l, l + 1), repeat=d):
-        if max(abs(o) for o in offs) == l:
-            cells.add(tuple(c + o for c, o in zip(center, offs)))
-    return cells
+    # Face by face: the first dimension at offset +-l is j; those before it lie inside, those after anywhere.
+    d, inner, outer = len(center), range(1 - l, l), range(-l, l + 1)
+    faces = (itertools.product(*[inner] * j, (-l, l), *[outer] * (d - 1 - j)) for j in range(d))
+    return {tuple(c + o for c, o in zip(center, offs)) for offs in itertools.chain.from_iterable(faces)}
 
 
 def knn_query(

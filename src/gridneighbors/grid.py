@@ -11,8 +11,8 @@ non-empty cells in CSR layout: sorted cell ids, the point indices sorted
 by cell, and one start offset per cell (the cell-sorted array with cell
 start offsets of S. Green, "Particle Simulation using CUDA", NVIDIA
 2010), which the query also reads the coordinates in, built on the first
-query. The binary file (version 2; version 1 files still load) holds these
-and the PointSet's arrays as they are; loading rebuilds and converts nothing.
+query. A cell id is the box corner plus its column of those narrow keys;
+the binary file (version 3; 1 and 2 still load) holds the arrays as is.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _gaps_pass(left, right, lo: float, span: float, s, cnt, start: int, stop: in
     return (((rb - lb) <= 1) | (np.arange(start, stop) >= cnt[:, None])).all(axis=1)
 
 
-def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
+def _max_splits_1d(values: np.ndarray, dim: int = 0) -> tuple[int, float]:
     """Largest split count s leaving no bin of [lo, hi] empty, and the width.
 
     A bin can only go empty inside a gap between consecutive distinct
@@ -91,7 +91,9 @@ def _max_splits_1d(values: np.ndarray) -> tuple[int, float]:
     if distinct.size == 1:
         return 1, 1.0  # constant feature: any positive width works
     lo = float(distinct[0])
-    span = float(distinct[-1] - distinct[0])
+    span = float(distinct[-1]) - lo  # Python floats: an overflow gives inf, not a warning
+    if span == math.inf:
+        raise ValueError(f"dimension {dim}: the range {lo} .. {float(distinct[-1])} overflows a float")
     gaps = np.diff(distinct)
     max_gap = float(gaps.max())
     # Occupancy is guaranteed to fail once max_gap * s / span >= 2.
@@ -129,7 +131,7 @@ def fit_cell_measurements(data: PointSet) -> GridParams:
     every bin of its value range occupied; the cell width is range/splits.
     Constant dimensions fall back to a single split of width 1.
     """
-    splits, widths = zip(*map(_max_splits_1d, data.coords.T))
+    splits, widths = zip(*map(_max_splits_1d, data.coords.T, itertools.count()))
     return GridParams(widths=widths, splits=splits)
 
 
@@ -178,11 +180,16 @@ def _within_cell_bound(lo, hi) -> bool:
     return bool(lo > -(2**62) and hi < 2**62)
 
 
-def _box_cols(cells: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
-    """(d, m) cells - lo, one row per dimension, in the narrowest of int16, int32 and int64 that holds +-side."""
-    side = max(b - a for a, b in zip(lo, hi)) + 1  # the longest side of the box lo..hi
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if side <= np.iinfo(t).max)
-    return np.stack([(col - a).astype(dtype) for col, a in zip(cells.T, lo)])
+def _box_dtype(side: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds +-side."""
+    return np.dtype(next(t for t in (np.int16, np.int32, np.int64) if side <= np.iinfo(t).max))
+
+
+def _box_cols(cells: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The (m, d) cells' box corner lo as Python ints, and (d, m) cells - lo in _box_dtype of the box's longest side."""
+    lo, hi = ([int(f(col)) for col in cells.T] for f in (np.min, np.max))  # one pass per column
+    dtype = _box_dtype(max(b - a for a, b in zip(lo, hi)) + 1)
+    return lo, np.stack([(col - a).astype(dtype) for col, a in zip(cells.T, lo)])
 
 
 #: The cell table's padding, in cells per side: it serves layers 0.._TABLE_PAD.
@@ -193,34 +200,32 @@ _TABLE_PAD = 2
 class GridIndex:
     """Immutable grid index over a training set, in CSR layout.
 
-    CSR ("compressed sparse row") is three arrays: cell_array holds the ids
-    of the non-empty cells, sorted lexicographically; order holds the point
-    indices sorted by cell, input order kept inside each cell; and the
-    points of cell i are order[offsets[i]:offsets[i + 1]]. save_index
-    writes these arrays as they are and cell_points reads a cell's points
-    from them; the query reads lazy views, never saved: cell i's
-    coordinates as the columns offsets[i]:offsets[i + 1] of cell_coords,
-    which its first call builds, its near cells from cell_table, a slab
-    round's cells from cell_cols and, once a layer holds more points than
-    cells, each cell's bounding box from cell_boxes. coords and labels are
-    the PointSet's read-only arrays. cell_lo and cell_hi, the cells' box,
-    are lists of Python ints.
+    CSR ("compressed sparse row") is three arrays: cell_cols holds the ids
+    of the non-empty cells, sorted lexicographically, less the box corner
+    cell_lo (d Python ints), one read-only row per dimension in _box_dtype;
+    order holds the point indices sorted by cell, input order kept inside
+    each cell; and the points of cell i are order[offsets[i]:offsets[i + 1]].
+    save_index writes these as they are; cell_points and the query's slab
+    rounds read cell_cols. The query also reads lazy views, never saved:
+    cell i's coordinates as the columns offsets[i]:offsets[i + 1] of
+    cell_coords, which its first call builds, its near cells from cell_table
+    and, once a layer holds more points than cells, each cell's bounding box
+    from cell_boxes. coords and labels are the PointSet's read-only arrays.
     """
 
     params: GridParams
     coords: np.ndarray
     labels: np.ndarray
     metric: str
-    cell_array: np.ndarray
+    cell_lo: list[int]
+    cell_cols: np.ndarray
     order: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        # Bounding box of the non-empty cells: a query's first and last
-        # occupied layers are bounded by its Chebyshev distance to it.
-        # One pass per column: a reduction across the rows is 10x slower.
-        self.cell_lo = [int(col.min()) for col in self.cell_array.T]
-        self.cell_hi = [int(col.max()) for col in self.cell_array.T]
+        # The cells' box bounds a query's first and last occupied layers.
+        self.cell_cols.flags.writeable = False
+        self.cell_hi = [a + int(row.max()) for a, row in zip(self.cell_lo, self.cell_cols)]
         self.min_width = float(self.params.widths.min())
 
     @property
@@ -255,13 +260,6 @@ class GridIndex:
         return boxes
 
     @cached_property
-    def cell_cols(self) -> np.ndarray:
-        """Read-only (d, C) cell_array - cell_lo in _box_cols's narrow dtype, for slab rounds; never saved."""
-        cols = _box_cols(self.cell_array, self.cell_lo, self.cell_hi)
-        cols.flags.writeable = False
-        return cols
-
-    @cached_property
     def cell_sizes(self) -> np.ndarray:
         """Points per cell: the query counts a layer's points with it."""
         return np.diff(self.offsets)
@@ -283,7 +281,7 @@ class GridIndex:
             return None
         strides = [math.prod(sides[j + 1 :]) for j in range(len(sides))]
         table = np.full(math.prod(sides), -1, dtype=np.int64)
-        table[(self.cell_array - base) @ strides] = np.arange(self.cell_array.shape[0])
+        table[np.dot(strides, self.cell_cols) + pad * sum(strides)] = np.arange(self.cell_cols.shape[1])
         deltas = np.array(list(itertools.product(range(-pad, pad + 1), repeat=len(sides))))  # keys ascend
         layer, keys = np.abs(deltas).max(axis=1), deltas @ strides
         stencils = [keys[layer == l] for l in range(1, pad + 1)]
@@ -295,9 +293,9 @@ class GridIndex:
 def build(data: PointSet, metric: str = "euclidean", params: GridParams | None = None) -> GridIndex:
     """Build the grid index: fit widths, hash every point into its cell.
 
-    One stable lexsort orders the points by cell id, less the box corner in
-    _box_cols's narrow dtype, so they keep their input order inside each
-    cell. Pass explicit params to skip fitting (for constructed scenarios).
+    One stable lexsort orders the points by cell id less the box corner, in
+    _box_dtype, keeping input order inside each cell; each cell's first key
+    is its column of cell_cols. Pass explicit params to skip fitting.
     """
     _check_metric(metric)
     if params is None:
@@ -305,17 +303,17 @@ def build(data: PointSet, metric: str = "euclidean", params: GridParams | None =
     elif params.dim != data.coords.shape[1]:
         raise ValueError("params dimension does not match the data")
     n = data.coords.shape[0]
-    ids = _cell_ids(data.coords, params.widths)
+    ids = _cell_ids(data.coords, params.widths)  # lives to the return: freed before the sort, build ran ~10% slower
     # int16 keys on a box of up to 2**15 - 1 cells a side, which numpy radix-sorts.
-    cols = _box_cols(ids, [int(col.min()) for col in ids.T], [int(col.max()) for col in ids.T])
+    lo, cols = _box_cols(ids)
     order = np.lexsort(cols[::-1])
+    cols = cols.take(order, axis=1)  # take: fancy indexing of a 2-D array is 3-4x slower
     new_cell = np.zeros(n - 1, dtype=bool)
-    for col in cols.take(order, axis=1):  # take: fancy indexing of a 2-D array is 3-4x slower
+    for col in cols:
         new_cell |= col[1:] != col[:-1]
     firsts = np.concatenate(([0], np.flatnonzero(new_cell) + 1))
-    cell_array = ids.take(order[firsts], axis=0)
     offsets = np.append(firsts, n).astype(np.int64)
-    return GridIndex(params, data.coords, data.labels, metric, cell_array, order, offsets)
+    return GridIndex(params, data.coords, data.labels, metric, lo, cols.take(firsts, axis=1), order, offsets)
 
 
 def cell_points(index: GridIndex, cell) -> list[int]:
@@ -324,10 +322,11 @@ def cell_points(index: GridIndex, cell) -> list[int]:
     Raises ValueError, as hash_cell does, for a cell of the wrong length.
     A cell with a non-integer coordinate matches no cell.
     """
-    cell = np.asarray(cell)  # no cast: ints compare exactly, a fraction matches nothing
+    cell = np.asarray(cell)
     if cell.shape != (index.dim,):
         raise ValueError(f"dimension mismatch: cell {cell.shape}, grid {index.dim}")
-    i = np.flatnonzero((index.cell_array == cell).all(axis=1))
+    keys = [x - a for x, a in zip(cell.tolist(), index.cell_lo)]  # Python numbers: a fraction matches nothing
+    i = np.flatnonzero((index.cell_cols.T == keys).all(axis=1))
     return index.order[index.offsets[i[0]] : index.offsets[i[0] + 1]].tolist() if i.size else []
 
 
@@ -336,33 +335,35 @@ def cell_points(index: GridIndex, cell) -> list[int]:
 
 _MAGIC = b"GHNIDX\x01\n"
 
-#: The arrays of a version 2 file in file order: name, the GridIndex attribute
+#: The arrays of a version 3 file in file order: name, the GridIndex attribute
 #: save_index writes, the dtype kinds it may have (labels as in PointSet), and
-#: its shape for n points in d dimensions and c cells. _LAYOUTS[1] puts back
-#: version 1's origin (training minima), which load_index checks, then drops.
+#: its shape for n points in d dimensions and c cells. Versions 1 and 2 hold
+#: int64 cell_ids in place of cell_lo and cell_cols; version 1 also origin.
 _LAYOUT = (
     ("widths", attrgetter("params.widths"), "f", lambda n, d, c: (d,)),
     ("splits", attrgetter("params.splits"), "i", lambda n, d, c: (d,)),
     ("coords", attrgetter("coords"), "f", lambda n, d, c: (n, d)),
     ("labels", attrgetter("labels"), LABEL_KINDS, lambda n, d, c: (n,)),
-    ("cell_ids", attrgetter("cell_array"), "i", lambda n, d, c: (c, d)),
+    ("cell_lo", attrgetter("cell_lo"), "i", lambda n, d, c: (d,)),
+    ("cell_cols", attrgetter("cell_cols"), "i", lambda n, d, c: (d, c)),
     ("offsets", attrgetter("offsets"), "i", lambda n, d, c: (c + 1,)),
     ("order", attrgetter("order"), "i", lambda n, d, c: (n,)),
 )
-_LAYOUTS = {1: (_LAYOUT[0], ("origin", None, "f", lambda n, d, c: (d,)), *_LAYOUT[1:]), 2: _LAYOUT}
+_V2 = (*_LAYOUT[:4], ("cell_ids", None, "i", lambda n, d, c: (c, d)), *_LAYOUT[6:])
+_LAYOUTS = {1: (_V2[0], ("origin", None, "f", lambda n, d, c: (d,)), *_V2[1:]), 2: _V2, 3: _LAYOUT}
 
 
 def save_index(index: GridIndex, path) -> None:
-    """Write the index to a deterministic binary file, version 2.
+    """Write the index to a deterministic binary file, version 3.
 
     Layout: magic, length-prefixed JSON header (version, metric, and array
-    dtypes and shapes), then the raw bytes of each array of _LAYOUT in order.
-    The offsets and order arrays are the index's CSR arrays, written as is.
+    dtypes and shapes), then the raw bytes of each array of _LAYOUT in order:
+    the index's own arrays as they are, cell_lo as d int64s.
     save -> load -> save reproduces the file byte for byte.
     """
     arrays = {name: np.ascontiguousarray(source(index)) for name, source, _kinds, _shape in _LAYOUT}
     meta = {name: {"dtype": a.dtype.str, "shape": list(a.shape)} for name, a in arrays.items()}
-    blob = json.dumps({"version": 2, "metric": index.metric, "arrays": meta}, sort_keys=True).encode()
+    blob = json.dumps({"version": 3, "metric": index.metric, "arrays": meta}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -372,18 +373,17 @@ def save_index(index: GridIndex, path) -> None:
 
 
 def load_index(path) -> GridIndex:
-    """Read an index written by save_index, version 2 or 1.
+    """Read an index written by save_index, version 3, 2 or 1.
 
-    The header must give the int 2 or 1, a known metric and each array's dtype
-    kind and shape in that version's _LAYOUTS, the file's size must match the
-    header, and every shape must agree with the n, d and c that coords and
-    cell_ids give, before any array is read. Then offsets must rise strictly
-    from 0 to n, order be a permutation of 0..n-1, cell ids rise strictly
-    inside +-2**62, coordinates be finite, labels free of NaN, widths positive
-    and finite and split counts at least 1. A change to order breaks the
-    permutation; one to offsets is caught when it breaks the strict rise.
-    Coordinates and labels are not checksummed; they come back read-only.
-    Raises ValueError naming the path for a truncated or corrupt file.
+    The header must give the int 3, 2 or 1, a known metric and each array's
+    dtype kind and shape in that version's _LAYOUTS, the file's size must
+    match the header, and every shape must agree with the n, d and c that
+    coords and the cells give, before any array is read. Then the arrays
+    must pass _check_arrays, coordinates be finite, labels free of NaN,
+    widths positive and finite and split counts at least 1. A change to
+    order breaks the permutation; one to offsets is caught when it breaks
+    the strict rise. Coordinates and labels are not checksummed; they come
+    back read-only. Raises ValueError naming the path for a truncated or corrupt file.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -413,9 +413,10 @@ def load_index(path) -> GridIndex:
         if os.fstat(fh.fileno()).st_size != fh.tell() + sum(sizes):
             raise ValueError(f"{path}: file size does not match its header (truncated?)")
         shapes = {name: shape for name, _, _, shape in layout}
-        if len(shapes["coords"]) != 2 or len(shapes["cell_ids"]) != 2 or 0 in shapes["coords"]:
-            raise ValueError(f"{path}: coords and cell_ids must be non-empty matrices")
-        (n, d), c = shapes["coords"], shapes["cell_ids"][0]
+        cells = "cell_cols" if version == 3 else "cell_ids"
+        if len(shapes["coords"]) != 2 or len(shapes[cells]) != 2 or 0 in shapes["coords"]:
+            raise ValueError(f"{path}: coords and {cells} must be non-empty matrices")
+        (n, d), c = shapes["coords"], shapes[cells][version == 3]  # cell_cols is (d, c), cell_ids (c, d)
         for name, _source, _kinds, shape_of in _LAYOUTS[version]:
             if shapes[name] != shape_of(n, d, c):
                 raise ValueError(f"{path}: {name} has shape {shapes[name]}, expected {shape_of(n, d, c)}")
@@ -426,36 +427,46 @@ def load_index(path) -> GridIndex:
                 raise ValueError(f"{path}: truncated in the {name} array")
     for name in ("coords", "labels"):  # read-only, as in the PointSet they were saved from
         arrays[name].flags.writeable = False
-    offsets, order = _check_arrays(path, arrays)
+    lo, cols, offsets, order = _check_arrays(path, arrays)
     try:
         _check_finite(arrays["coords"])
         _check_labels(arrays["labels"])
         params = GridParams(arrays["widths"], arrays["splits"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return GridIndex(params, arrays["coords"], arrays["labels"], metric, arrays["cell_ids"], order, offsets)
+    return GridIndex(params, arrays["coords"], arrays["labels"], metric, lo, cols, order, offsets)
 
 
-def _check_arrays(path, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Structural checks of a loaded index, in O(n + C*d), the cell ids one column at a time.
+def _check_arrays(path, arrays: dict) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Structural checks of a loaded index, in O(n + C*d), the cells one row of cell_cols at a time.
 
-    Returns the offsets and order arrays as int64, the dtype the query uses.
+    Version 1 and 2 cell ids are converted to cell_lo and cell_cols once they pass the +-2**62 bound.
+    Returns cell_lo as Python ints, cell_cols, and offsets and order as int64, the dtype the query uses.
     """
-    n, cells = arrays["coords"].shape[0], arrays["cell_ids"]
-    c = cells.shape[0]
+    n = arrays["coords"].shape[0]
     offsets = arrays["offsets"].astype(np.int64, copy=False)
     if offsets[0] != 0 or offsets[-1] != n or np.any(offsets[1:] <= offsets[:-1]):
         raise ValueError(f"{path}: offsets do not rise strictly from 0 to {n}")
     order = arrays["order"].astype(np.int64, copy=False)
     if order.min() < 0 or order.max() >= n or np.any(np.bincount(order, minlength=n) != 1):
         raise ValueError(f"{path}: order is not a permutation of 0..{n - 1}")
-    # Row i + 1 rises past row i iff it is greater in the first column where they differ.
-    rises, ties = np.zeros(c - 1, dtype=bool), np.ones(c - 1, dtype=bool)
-    for col in cells.T:
-        rises |= ties & (col[1:] > col[:-1])
-        ties &= col[1:] == col[:-1]
+    if "cell_ids" in arrays:  # at least one cell: offsets rise strictly from 0 to n >= 1
+        ids = arrays["cell_ids"].astype(np.int64, copy=False)
+        if not _within_cell_bound(ids.min(), ids.max()):  # also keeps ids - lo inside int64
+            raise ValueError(f"{path}: a cell id leaves +-2**62")
+        lo, cols = _box_cols(ids)
+    else:
+        lo, cols = arrays["cell_lo"].tolist(), arrays["cell_cols"]
+    # Cell i + 1 rises past cell i iff it is greater in the first dimension where they differ.
+    rises, ties = np.zeros(cols.shape[1] - 1, dtype=bool), np.ones(cols.shape[1] - 1, dtype=bool)
+    for row in cols:
+        rises |= ties & (row[1:] > row[:-1])
+        ties &= row[1:] == row[:-1]
     if not rises.all():
         raise ValueError(f"{path}: cell ids are not strictly increasing")
-    if not _within_cell_bound(cells.min(), cells.max()):
+    top = cols.max(axis=1).tolist()
+    if not _within_cell_bound(min(lo), max(a + t for a, t in zip(lo, top))):
         raise ValueError(f"{path}: a cell id leaves +-2**62")
-    return offsets, order
+    if any(cols.min(axis=1)) or cols.dtype != _box_dtype(max(top) + 1):  # the bound keeps the side in int64
+        raise ValueError(f"{path}: cell_cols is not the cell ids less cell_lo as {_box_dtype(max(top) + 1)}")
+    return lo, cols, offsets, order

@@ -64,6 +64,11 @@ def c_calls(fn, *args):
     return result, calls
 
 
+def cell_ids(index):
+    """(C, d) int64 ids of an index's non-empty cells, ascending: cell_lo plus each column of cell_cols."""
+    return index.cell_cols.T.astype(np.int64) + index.cell_lo
+
+
 def _header(data: bytes) -> tuple[dict, int]:
     """The JSON header of an index file and the offset of its first array."""
     start = len(_MAGIC) + 4

@@ -14,6 +14,7 @@ import numpy as np
 from gridneighbors.core import Neighbor, keys_to_distances, ordering_keys
 from gridneighbors.explore import STOP_MODES, QueryStats
 from gridneighbors.grid import GridIndex
+from helpers import cell_ids
 
 
 class BucketIndex:
@@ -24,7 +25,7 @@ class BucketIndex:
         self.coords = index.coords
         self.labels = index.labels
         self.metric = index.metric
-        self.cell_array = index.cell_array
+        self.cell_array = cell_ids(index)
         self.buckets = np.split(index.order, index.offsets[1:-1])
         self.size = index.size
         self.dim = index.dim

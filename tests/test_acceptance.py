@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import as_pairs, held
+from helpers import as_pairs, cell_ids, held
 from gridneighbors import (
     GridParams,
     NeighborBuffer,
@@ -206,7 +206,7 @@ def test_criterion_8_structure_property_suites():
         d = int(rng.integers(1, 5))
         X = rng.normal(0, rng.uniform(0.5, 5), (n, d)) + rng.uniform(-10, 10, d)
         index = build(points_from_arrays(X, [0] * n))
-        assert len(index.cell_array) <= n
+        assert len(cell_ids(index)) <= n
         assert index.offsets[-1] == n
         assert np.array_equal(np.sort(index.order), np.arange(n))
         i = int(rng.integers(0, n))

@@ -55,6 +55,20 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="unknown label column"):
             load_csv(DatasetSpec(path, "target", "classification"))
 
+    @pytest.mark.parametrize("column", [4, np.int64(4), np.int32(-1), -1])
+    def test_label_column_by_number_numpy_integers_too(self, column):
+        path = str(Path(__file__).resolve().parents[1] / "data" / "clusters.csv")
+        spec = DatasetSpec(path, column, "classification")
+        assert type(spec.label_column) is int
+        got, want = load_csv(spec), load_csv(DatasetSpec(path, "label", "classification"))
+        assert np.array_equal(got.coords, want.coords) and np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("column", [True, False, np.True_, 2.0, None])
+    def test_label_column_neither_a_name_nor_an_integer_rejected(self, column):
+        # True would otherwise select column 1, a feature column.
+        with pytest.raises(TypeError, match="label_column must be an integer"):
+            DatasetSpec("data/clusters.csv", column, "classification")
+
     @pytest.mark.parametrize(
         "text, spec",
         [

@@ -1,3 +1,4 @@
+import itertools
 import signal
 from contextlib import contextmanager
 
@@ -16,6 +17,14 @@ from gridneighbors import (
     points_from_arrays,
     total_cell_count,
 )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_layer_cells_are_the_cells_at_chebyshev_distance_l(d):
+    center = tuple(range(-1, d - 1))
+    for l in range(5):
+        cube = itertools.product(*(range(c - l, c + l + 1) for c in center))
+        assert layer_cells(center, l) == {cell for cell in cube if max(abs(a - c) for a, c in zip(cell, center)) == l}
 
 
 class TestLayerGeometry:

@@ -22,6 +22,7 @@ from gridneighbors import (
     points_from_arrays,
 )
 from gridneighbors.core import NeighborBuffer, keys_to_distances, ordering_keys
+from helpers import cell_ids
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
 
@@ -466,7 +467,7 @@ def test_a_thin_round_is_merged_once_and_fat_layers_are_box_tested_one_by_one(mo
     index, X = _thin_index(rng, 2000, 3, "euclidean")
     q = X[5] + 0.1
     got, stats = knn_query(index, q, 10, "guaranteed")
-    cheb = np.abs(index.cell_array - np.floor(q / index.params.widths)).max(axis=1)
+    cheb = np.abs(cell_ids(index) - np.floor(q / index.params.widths)).max(axis=1)
     occupied = np.unique(cheb[cheb <= stats.layers_visited]).size
     assert 1 <= len(merges) < occupied and not boxes
     assert len(offers) == len(merges) and np.unique(merges[0][1]).size > 1
@@ -482,7 +483,7 @@ def test_a_thin_round_is_merged_once_and_fat_layers_are_box_tested_one_by_one(mo
     q = X[-1] + 1.0  # beside an outlier: the walk crosses several fat layers
     got, stats = knn_query(fat, q, 5, "guaranteed")
     center = np.floor(q / fat.params.widths)
-    layers = [np.unique(np.abs(fat.cell_array[cells] - center).max(axis=1)) for _, _, cells in boxes]
+    layers = [np.unique(np.abs(cell_ids(fat)[cells] - center).max(axis=1)) for _, _, cells in boxes]
     one_point = fat.offsets[:-1][fat.cell_sizes == 1]
     assert all(np.isin(pos, one_point).all() for _, _, _, pos, _, _ in merges) and len(boxes) >= 2
     assert all(l.size == 1 for l in layers) and len({int(l[0]) for l in layers}) == len(layers)
@@ -605,7 +606,7 @@ def test_guaranteed_round_stops_inside_before_and_after_its_rows(monkeypatch, rn
         _assert_same(index, queries, ks)
         _assert_brute(index, queries, ks)
         for q in queries:
-            cheb = np.abs(index.cell_array - np.floor(q)).max(axis=1)
+            cheb = np.abs(cell_ids(index) - np.floor(q)).max(axis=1)
             for k in ks:
                 rounds.clear()
                 last = knn_query(index, q, k, "guaranteed")[1].layers_visited

@@ -27,13 +27,15 @@ from gridneighbors import (
 )
 from gridneighbors import grid
 from gridneighbors.grid import _LAYOUT, _MAGIC, _PROBE, _SPLIT_BLOCK, _max_splits_1d
-from helpers import regions, rewrite_index
+from helpers import cell_ids, regions, rewrite_index
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "data" / "index_v2.ghn"
-#: The same index in version 1, which also held origin, the training minima.
+GOLDEN = ROOT / "tests" / "data" / "index_v3.ghn"
+#: The same index in version 2, whose cells were int64 ids, and in version 1,
+#: which also held origin, the training minima.
+GOLDEN_V2 = ROOT / "tests" / "data" / "index_v2.ghn"
 GOLDEN_V1 = ROOT / "tests" / "data" / "index_v1.ghn"
 
 
@@ -117,6 +119,21 @@ class TestFitCellMeasurements:
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty dataset"):
             fit_cell_measurements(points_from_arrays(np.zeros((0, 2)), []))
+
+    @pytest.mark.parametrize(
+        "rows, dim",
+        [([[-1e308], [1e308]], 0), ([[0, 0], [1e308, 1], [-1e308, 0.5]], 0), ([[0, 0], [1, 1e308], [0.5, -1e308]], 1)],
+    )
+    def test_range_past_the_largest_float_rejected_naming_the_dimension(self, rows, dim):
+        # max - min of finite values is inf: one ValueError, from the fit and from build without params.
+        points = _pts(rows)
+        for fit in (fit_cell_measurements, build):
+            with pytest.raises(ValueError, match=rf"^dimension {dim}: the range -1e\+308 \.\. 1e\+308 overflows a float$"):
+                fit(points)
+        widths = [1.0, 1.0]
+        widths[dim] = 1e300
+        index = build(points, params=GridParams(widths[: len(rows[0])], [1] * len(rows[0])))
+        assert sorted(index.order.tolist()) == list(range(len(rows)))
 
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(150):
@@ -342,14 +359,14 @@ class TestHashCell:
 class TestBuild:
     def test_single_point(self):
         index = build(_pts([[2.0, 3.0]]))
-        assert index.cell_array.tolist() == [list(hash_cell((2.0, 3.0), index.params))]
+        assert cell_ids(index).tolist() == [list(hash_cell((2.0, 3.0), index.params))]
         assert index.offsets.tolist() == [0, 1] and index.order.tolist() == [0]
 
     def test_recount_and_roundtrip(self, rng):
         X = rng.normal(0, 3, (200, 2))
         index = build(points_from_arrays(X, [0] * 200))
         assert index.offsets[-1] == 200
-        assert len(index.cell_array) <= 200
+        assert len(cell_ids(index)) <= 200
         assert sorted(index.order.tolist()) == list(range(200))
         for i, x in enumerate(X):
             assert i in cell_points(index, hash_cell(x, index.params))
@@ -462,8 +479,8 @@ class TestCellBoxes:
         X = np.concatenate([rng.normal(0, 2, (300, 3)), [[40.0, -40.0, 0.5]]])
         index = build(points_from_arrays(X, [0] * 301), params=GridParams([1.5] * 3, [1] * 3))
         lo, hi = index.cell_boxes
-        assert lo.shape == hi.shape == index.cell_array.shape
-        for i, cell in enumerate(index.cell_array):
+        assert lo.shape == hi.shape == cell_ids(index).shape
+        for i, cell in enumerate(cell_ids(index)):
             pts = X[cell_points(index, cell)]
             assert lo[i].tolist() == pts.min(axis=0).tolist()
             assert hi[i].tolist() == pts.max(axis=0).tolist()
@@ -501,10 +518,12 @@ class TestCellCols:
         for d in (1, 2, 4):
             X = rng.normal(0, 3, (300, d)) - 40
             index = build(points_from_arrays(X, [0] * 300))
+            ids = np.unique(np.floor(X / index.params.widths).astype(np.int64), axis=0)
+            assert index.cell_lo == ids.min(axis=0).tolist() and all(type(v) is int for v in index.cell_lo)
             cols = index.cell_cols
-            assert cols.shape == (d, len(index.cell_array)) and cols.flags.c_contiguous
+            assert cols.shape == (d, len(ids)) and cols.flags.c_contiguous
             for j in range(d):
-                assert cols[j].tolist() == (index.cell_array[:, j] - index.cell_lo[j]).tolist()
+                assert cols[j].tolist() == (ids[:, j] - index.cell_lo[j]).tolist()
 
     @pytest.mark.parametrize(
         "side, dtype", [(2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)]
@@ -518,7 +537,7 @@ class TestCellCols:
         index = build(points_from_arrays(X, [0, 1, 2]), params=GridParams([1.0, 1.0], [side, 1]))
         assert index.cell_hi[0] - index.cell_lo[0] + 1 == side and index.cell_table is None
         assert index.cell_cols.dtype == dtype
-        assert index.cell_cols.tolist() == (index.cell_array - index.cell_lo).T.tolist()
+        assert index.cell_cols.tolist() == (np.unique(np.floor(X).astype(np.int64), axis=0) - index.cell_lo).T.tolist()
         queries = [[side - 0.7, 0.5], [side + 5.5, 0.5], [-6.5, 3.5], [side // 2 + 0.2, 40_000.5]]
         ref = BucketIndex(index)
         bi = brute_build(points_from_arrays(X, [0, 1, 2]))
@@ -531,24 +550,26 @@ class TestCellCols:
                 got = knn_query(index, q, k, "guaranteed")[0]
                 assert [(n.distance, n.point_index) for n in got] == [(b.distance, b.point_index) for b in brute_knn(bi, q, k)]
 
-    def test_read_only_built_by_a_slab_round_and_never_saved(self, rng, tmp_path):
+    def test_read_only_and_saved_as_built(self, rng, tmp_path):
         X = rng.uniform(0, 100, (400, 2))  # far more cells than 8n: no table, every layer from slab rounds
         index = build(points_from_arrays(X, rng.integers(0, 3, 400)))
         assert index.cell_table is None
-        save_index(index, tmp_path / "a.ghn")
-        assert "cell_cols" not in vars(index)
-        knn_query(index, X[0], 3)
-        cols = vars(index)["cell_cols"]
+        cols = index.cell_cols
         assert not cols.flags.writeable
         with pytest.raises(ValueError):
             cols[0, 0] = 1
-        save_index(index, tmp_path / "b.ghn")
-        loaded = load_index(tmp_path / "b.ghn")
-        assert "cell_cols" not in vars(loaded)
+        save_index(index, tmp_path / "a.ghn")
+        data = (tmp_path / "a.ghn").read_bytes()
+        start, end = regions(data)["cell_cols"]
+        assert data[start:end] == cols.tobytes()
+        knn_query(index, X[0], 3)
+        assert index.cell_cols is cols
+        loaded = load_index(tmp_path / "a.ghn")
+        assert not loaded.cell_cols.flags.writeable and loaded.cell_lo == index.cell_lo
+        assert np.array_equal(loaded.cell_cols, cols) and loaded.cell_cols.dtype == cols.dtype
         knn_query(loaded, X[1] + 0.01, 5, "guaranteed")
-        assert np.array_equal(vars(loaded)["cell_cols"], cols) and loaded.cell_cols.dtype == cols.dtype
-        save_index(loaded, tmp_path / "c.ghn")
-        assert (tmp_path / "a.ghn").read_bytes() == (tmp_path / "b.ghn").read_bytes() == (tmp_path / "c.ghn").read_bytes()
+        save_index(loaded, tmp_path / "b.ghn")
+        assert (tmp_path / "b.ghn").read_bytes() == data
 
 
 class TestCellTable:
@@ -568,8 +589,9 @@ class TestCellTable:
         table, base, strides, stencils = index.cell_table
         assert base == [a - grid._TABLE_PAD for a in index.cell_lo]
         assert table.size == math.prod(b - a + 1 + 2 * grid._TABLE_PAD for a, b in zip(index.cell_lo, index.cell_hi))
-        assert [table[self._key(index.cell_table, c)] for c in index.cell_array] == list(range(len(index.cell_array)))
-        assert np.count_nonzero(table >= 0) == len(index.cell_array)
+        cells = cell_ids(index)
+        assert [table[self._key(index.cell_table, c)] for c in cells] == list(range(len(cells)))
+        assert np.count_nonzero(table >= 0) == len(cells)
         # Each stencil holds the key offsets of one Chebyshev layer, ascending.
         center = self._key(index.cell_table, [2] * d)
         for l, offs in enumerate(stencils, 1):
@@ -606,11 +628,19 @@ class TestCellTable:
         assert np.array_equal(t, lt) and base == lbase and strides == lstrides
         assert all(np.array_equal(a, b) for a, b in zip(stencils, lstencils))
 
+    def test_keys_past_the_int16_range_on_an_int16_box(self):
+        # Cells 0 and 32,766: an int16 box of 32,767 cells a side, whose padded keys reach 32,768.
+        X = np.concatenate([np.full(4099, 0.5), [32766.5]]).reshape(-1, 1)
+        index = build(points_from_arrays(X, [0] * 4100), params=GridParams([1.0], [32767]))
+        assert index.cell_cols.dtype == np.int16 and index.cell_table is not None
+        assert np.flatnonzero(index.cell_table[0] >= 0).tolist() == [2, 32768]
+        assert knn_query(index, [32766.2], 1)[0][0].point_index == 4099
+
     def test_golden_file_builds_its_table(self):
         index = load_index(GOLDEN)
         table = index.cell_table
         assert table is not None
-        assert [table[0][self._key(table, c)] for c in index.cell_array] == list(range(len(index.cell_array)))
+        assert [table[0][self._key(table, c)] for c in cell_ids(index)] == list(range(len(cell_ids(index))))
 
 
 def _golden_data():
@@ -621,18 +651,20 @@ def _golden_data():
 
 class TestIndexFileChecks:
     def test_golden_file_loads_and_rebuilds_byte_identically(self, tmp_path):
-        # tests/data/index_v2.ghn is what save_index writes for this build, and
-        # version 2 must not change. index_v1.ghn, written in version 1 by the
-        # bucket-list layout that preceded CSR, must load to the same index and
-        # re-save as the version 2 file.
+        # tests/data/index_v3.ghn is what save_index writes for this build, and
+        # version 3 must not change. index_v2.ghn, whose cells are int64 ids,
+        # and index_v1.ghn, written in version 1 by the bucket-list layout that
+        # preceded CSR, must load to the same index and re-save as version 3.
         X, y = _golden_data()
         built = build(points_from_arrays(X, y))
         save_index(built, tmp_path / "built.ghn")
         assert (tmp_path / "built.ghn").read_bytes() == GOLDEN.read_bytes()
-        for golden in (GOLDEN, GOLDEN_V1):
+        for golden in (GOLDEN, GOLDEN_V2, GOLDEN_V1):
             loaded = load_index(golden)
+            assert loaded.cell_lo == built.cell_lo and loaded.cell_hi == built.cell_hi
             for _name, source, _kinds, _shape in _LAYOUT:
-                assert source(loaded).dtype == source(built).dtype and np.array_equal(source(loaded), source(built))
+                a, b = np.asarray(source(loaded)), np.asarray(source(built))
+                assert a.dtype == b.dtype and np.array_equal(a, b)
             save_index(loaded, tmp_path / "resaved.ghn")
             assert (tmp_path / "resaved.ghn").read_bytes() == GOLDEN.read_bytes()
             for q in [(0.1, -0.2), (3.0, 3.0), (-40.0, 7.0)]:
@@ -646,7 +678,7 @@ class TestIndexFileChecks:
 
     def test_truncated_file_rejected_naming_the_path(self, tmp_path):
         path = tmp_path / "cut.ghn"
-        for golden in (GOLDEN, GOLDEN_V1):
+        for golden in (GOLDEN, GOLDEN_V2, GOLDEN_V1):
             data = golden.read_bytes()
             for cut in range(0, len(data), 7):
                 path.write_bytes(data[:cut])
@@ -655,7 +687,7 @@ class TestIndexFileChecks:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.ghn"
-        for golden in (GOLDEN, GOLDEN_V1):
+        for golden in (GOLDEN, GOLDEN_V2, GOLDEN_V1):
             path.write_bytes(golden.read_bytes() + b"\0")
             with pytest.raises(ValueError, match="long.ghn"):
                 load_index(path)
@@ -678,26 +710,40 @@ class TestIndexFileChecks:
 
     def test_unsorted_cell_ids_rejected(self, tmp_path):
         path = tmp_path / "unsorted.ghn"
-        path.write_bytes(rewrite_index(GOLDEN.read_bytes(), cell_ids=load_index(GOLDEN).cell_array[::-1]))
-        with pytest.raises(ValueError, match="cell ids"):
-            load_index(path)
+        index = load_index(GOLDEN)
+        for data in (
+            rewrite_index(GOLDEN_V2.read_bytes(), cell_ids=cell_ids(index)[::-1]),
+            rewrite_index(GOLDEN.read_bytes(), cell_cols=index.cell_cols[:, ::-1]),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="unsorted.ghn: cell ids are not strictly increasing"):
+                load_index(path)
 
 
-#: The arrays of either version, in version 1's file order: all but origin are version 2's.
-NAMES = tuple(regions(GOLDEN_V1.read_bytes()))
+#: The arrays of every version: origin is version 1's, cell_ids versions 1
+#: and 2's, cell_lo and cell_cols version 3's, and the others are in all three.
+NAMES = tuple(dict.fromkeys([*regions(GOLDEN_V1.read_bytes()), *regions(GOLDEN.read_bytes())]))
 
 
 def _golden(name):
-    """The golden file to break name in: version 2, or version 1 for origin, which load_index still checks there."""
-    return GOLDEN_V1 if name == "origin" else GOLDEN
+    """The golden file to break name in: the newest version that holds it."""
+    return {"origin": GOLDEN_V1, "cell_ids": GOLDEN_V2}.get(name, GOLDEN)
+
+
+def _as_v2(index, ids) -> bytes:
+    """A version 2 file of index with the int64 cell ids ids in place of its cells."""
+    arrays = {"widths": index.params.widths, "splits": index.params.splits, "coords": index.coords}
+    arrays.update(labels=index.labels, cell_ids=ids, offsets=index.offsets, order=index.order)
+    return rewrite_index(GOLDEN_V2.read_bytes(), lambda header: header.update(metric=index.metric), **arrays)
 
 
 class TestLoadRejections:
     """Every check of load_index, each on a file that breaks only that check.
 
     The files are the golden index (40 points, 2-d, every array of 8-byte
-    items) with its header or some of its arrays rewritten, in version 2
-    but for version 1's origin.
+    items but the int16 cell_cols) with its header or some of its arrays
+    rewritten, in version 3 but for version 2's cell_ids and version 1's
+    origin.
     """
 
     @staticmethod
@@ -710,35 +756,41 @@ class TestLoadRejections:
     def test_golden_file_is_the_file_described(self):
         loaded = load_index(GOLDEN)
         assert loaded.coords.shape == (40, 2) and loaded.labels.dtype == np.int64
-        assert 1 < loaded.cell_array.shape[0] < 40
-        assert tuple(regions(GOLDEN.read_bytes())) == tuple(name for name in NAMES if name != "origin")
+        assert 1 < loaded.cell_cols.shape[1] < 40 and loaded.cell_cols.dtype == np.int16
+        common = ("widths", "splits", "coords", "labels")
+        assert tuple(regions(GOLDEN.read_bytes())) == (*common, "cell_lo", "cell_cols", "offsets", "order")
+        assert tuple(regions(GOLDEN_V2.read_bytes())) == (*common, "cell_ids", "offsets", "order")
 
     @pytest.mark.parametrize("name", NAMES)
     def test_wrong_dtype_kind_rejected(self, tmp_path, name):
         def edit(header):
             saved = header["arrays"][name]["dtype"]
             # Same item size, so only the kind is wrong; labels may be ints or floats.
-            header["arrays"][name]["dtype"] = "<m8[s]" if name == "labels" else {"<f8": "<i8", "<i8": "<f8"}[saved]
+            header["arrays"][name]["dtype"] = "<m8[s]" if name == "labels" else {"<f8": "<i8", "<i8": "<f8", "<i2": "<f2"}[saved]
 
         self._rejected(tmp_path, rewrite_index(_golden(name).read_bytes(), edit), f"{name} has dtype")
 
     @staticmethod
     def _shape_grown(name):
-        """The golden file with name one longer along its last axis, and the name reported.
+        """The golden file with name longer along its last axis, and the name reported.
 
-        A donor shrinks by as many elements, so the file size still matches
-        the header. coords sets n and d, so a wider coords is reported as the
-        widths that no longer match it; a longer order takes its element from
-        labels, checked first.
+        name grows by one element, or by four for the 2-byte cell_cols, and
+        a donor of 8-byte items shrinks by as many bytes, so the file size
+        still matches the header. coords sets n and d, so a wider coords is
+        reported as the widths that no longer match it; cell_cols sets c, so
+        a longer one is reported as the offsets; a longer order takes its
+        elements from labels, checked first.
         """
         donor = "labels" if name == "order" else "order"
+        grow = 4 if name == "cell_cols" else 1
 
         def edit(header):
             shapes = {key: meta["shape"] for key, meta in header["arrays"].items()}
-            shapes[donor][-1] -= math.prod(shapes[name][:-1])
-            shapes[name][-1] += 1
+            shapes[donor][-1] -= math.prod(shapes[name][:-1]) * grow * np.dtype(header["arrays"][name]["dtype"]).itemsize // 8
+            shapes[name][-1] += grow
 
-        return rewrite_index(_golden(name).read_bytes(), edit), {"coords": "widths", "order": "labels"}.get(name, name)
+        reported = {"coords": "widths", "cell_cols": "offsets", "order": "labels"}.get(name, name)
+        return rewrite_index(_golden(name).read_bytes(), edit), reported
 
     @pytest.mark.parametrize("name", NAMES)
     def test_wrong_shape_rejected(self, tmp_path, name):
@@ -769,7 +821,7 @@ class TestLoadRejections:
 
         self._rejected(tmp_path, rewrite_index(GOLDEN.read_bytes(), edit), "file size does not match")
 
-    @pytest.mark.parametrize("version", [0, 3, "1", "2", None, True, 1.0])
+    @pytest.mark.parametrize("version", [0, 4, "1", "2", "3", None, True, 1.0])
     def test_other_version_rejected(self, tmp_path, version):
         def edit(header):
             header["version"] = version
@@ -798,10 +850,15 @@ class TestLoadRejections:
     @pytest.mark.parametrize("coords", [np.empty((0, 2)), np.zeros(80), np.zeros((40, 2, 1))], ids=["empty", "1-d", "3-d"])
     def test_coords_not_a_non_empty_matrix_rejected(self, tmp_path, coords):
         data = rewrite_index(GOLDEN.read_bytes(), coords=coords)
+        self._rejected(tmp_path, data, "coords and cell_cols must be non-empty matrices")
+        data = rewrite_index(GOLDEN_V2.read_bytes(), coords=coords)
         self._rejected(tmp_path, data, "coords and cell_ids must be non-empty matrices")
 
     def test_empty_cell_ids_rejected(self, tmp_path):
-        data = rewrite_index(GOLDEN.read_bytes(), cell_ids=np.empty((0, 2), np.int64), offsets=np.zeros(1, np.int64))
+        no_cells = np.zeros(1, np.int64)
+        data = rewrite_index(GOLDEN_V2.read_bytes(), cell_ids=np.empty((0, 2), np.int64), offsets=no_cells)
+        self._rejected(tmp_path, data, "offsets do not rise strictly from 0 to 40")
+        data = rewrite_index(GOLDEN.read_bytes(), cell_cols=np.empty((2, 0), np.int16), offsets=no_cells)
         self._rejected(tmp_path, data, "offsets do not rise strictly from 0 to 40")
 
     @pytest.mark.parametrize("cut", range(len(_MAGIC), len(_MAGIC) + 4))
@@ -825,10 +882,10 @@ class TestLoadRejections:
 
     @staticmethod
     def _line_index(first, last):
-        """A 4-point 1-d index file with cells 0..3, its first and last ids replaced."""
+        """A 4-point 1-d index with cells 0..3, and its cell ids with the first and last replaced."""
         X = np.arange(4.0).reshape(-1, 1) + 0.2
         index = build(points_from_arrays(X, [0] * 4), params=GridParams([1.0], [4]))
-        cells = index.cell_array.copy()
+        cells = cell_ids(index)
         cells[0, 0], cells[-1, 0] = first, last
         return index, cells
 
@@ -836,18 +893,41 @@ class TestLoadRejections:
         "first, last", [(-(2**63), 3), (0, 2**63 - 1), (-(2**62), 3), (0, 2**62)], ids=["min", "max", "-bound", "+bound"]
     )
     def test_cell_id_outside_the_build_bound_rejected(self, tmp_path, first, last):
-        # np.abs(-2**63) is negative: the bound holds for the minimum and the maximum.
+        # Version 2 ids. np.abs(-2**63) is negative: the bound holds for the minimum and the maximum.
         index, cells = self._line_index(first, last)
-        save_index(index, tmp_path / "good.ghn")
-        data = rewrite_index((tmp_path / "good.ghn").read_bytes(), cell_ids=cells)
-        self._rejected(tmp_path, data, r"a cell id leaves \+-2\*\*62")
+        self._rejected(tmp_path, _as_v2(index, cells), r"a cell id leaves \+-2\*\*62")
 
     def test_cell_ids_just_inside_the_bound_load(self, tmp_path):
+        # Version 2 ids 2**63 - 2 apart: converted to int64 columns, saved and loaded as version 3.
         index, cells = self._line_index(-(2**62) + 1, 2**62 - 1)
-        save_index(index, tmp_path / "good.ghn")
         path = tmp_path / "edge.ghn"
-        path.write_bytes(rewrite_index((tmp_path / "good.ghn").read_bytes(), cell_ids=cells))
-        assert load_index(path).cell_array.tolist() == cells.tolist()
+        path.write_bytes(_as_v2(index, cells))
+        loaded = load_index(path)
+        assert cell_ids(loaded).tolist() == cells.tolist() and loaded.cell_cols.dtype == np.int64
+        save_index(loaded, tmp_path / "v3.ghn")
+        assert cell_ids(load_index(tmp_path / "v3.ghn")).tolist() == cells.tolist()
+
+    @pytest.mark.parametrize("lo", [-(2**63), -(2**62), -(2**62) + 1, 2**62 - 4, 2**62 - 3])
+    def test_cell_lo_and_the_far_corner_inside_the_bound(self, tmp_path, lo):
+        # Version 3 cells 0..3 less cell_lo: cell_lo and cell_lo + 3 must lie inside +-2**62.
+        index, _ = self._line_index(0, 3)
+        save_index(index, tmp_path / "good.ghn")
+        data = rewrite_index((tmp_path / "good.ghn").read_bytes(), cell_lo=np.array([lo]))
+        if -(2**62) < lo and lo + 3 < 2**62:
+            path = tmp_path / "edge.ghn"
+            path.write_bytes(data)
+            assert cell_ids(load_index(path)).tolist() == [[lo], [lo + 1], [lo + 2], [lo + 3]]
+        else:
+            self._rejected(tmp_path, data, r"a cell id leaves \+-2\*\*62")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda cols: cols + 1, lambda cols: cols - 1, lambda cols: cols.astype(np.int32), lambda cols: cols.astype(">i2")],
+        ids=["rows start at 1", "rows start at -1", "int32", "big-endian"],
+    )
+    def test_cell_cols_not_the_ids_less_cell_lo_in_the_narrow_dtype_rejected(self, tmp_path, edit):
+        data = rewrite_index(GOLDEN.read_bytes(), cell_cols=edit(load_index(GOLDEN).cell_cols))
+        self._rejected(tmp_path, data, "cell_cols is not the cell ids less cell_lo as int16")
 
 
 class TestParamChecks:
@@ -942,27 +1022,33 @@ class TestColumnPasses:
         rows, d = case
         cells = np.array(rows, dtype=np.int64).reshape(-1, d)
         c = len(rows)
-        # One point per cell, so every other check of load_index passes.
-        data = rewrite_index(
-            GOLDEN.read_bytes(),
-            widths=np.ones(d),
-            splits=np.ones(d, np.int64),
-            coords=np.zeros((c, d)),
-            labels=np.zeros(c, np.int64),
-            cell_ids=cells,
-            offsets=np.arange(c + 1),
-            order=np.arange(c),
+        # One point per cell, so every other check of load_index passes. The
+        # ids as version 2 holds them, and as version 3 does. A fall may take
+        # an id to -2**62, which version 2 rejects first, before converting.
+        unsorted = not all(a < b for a, b in zip(rows, rows[1:]))
+        inside = -(2**62) < cells.min() and cells.max() < 2**62
+        lo = cells.min(axis=0)
+        cols = (cells - lo).T.astype(grid._box_dtype(int((cells - lo).max()) + 1))
+        arrays = dict(
+            widths=np.ones(d), splits=np.ones(d, np.int64), coords=np.zeros((c, d)), labels=np.zeros(c, np.int64)
         )
+        arrays.update(offsets=np.arange(c + 1), order=np.arange(c))
         path = tmp_path_factory.mktemp("ids") / "case.ghn"
-        path.write_bytes(data)
-        if not all(a < b for a, b in zip(rows, rows[1:])):
-            with pytest.raises(ValueError, match="case.ghn: cell ids are not strictly increasing"):
-                load_index(path)
-            return
-        index = load_index(path)
-        assert index.cell_array.tolist() == [list(row) for row in rows]
-        assert index.cell_lo == cells.min(axis=0).tolist() and index.cell_hi == cells.max(axis=0).tolist()
-        assert all(type(v) is int for v in index.cell_lo + index.cell_hi)
+        for data, first_check in (
+            (rewrite_index(GOLDEN_V2.read_bytes(), cell_ids=cells, **arrays), inside),
+            (rewrite_index(GOLDEN.read_bytes(), cell_lo=lo, cell_cols=cols, **arrays), True),
+        ):
+            path.write_bytes(data)
+            if unsorted:
+                match = "cell ids are not strictly increasing" if first_check else r"a cell id leaves \+-2\*\*62"
+                with pytest.raises(ValueError, match="case.ghn: " + match):
+                    load_index(path)
+                continue
+            index = load_index(path)
+            assert cell_ids(index).tolist() == [list(row) for row in rows]
+            assert index.cell_lo == lo.tolist() and index.cell_hi == cells.max(axis=0).tolist()
+            assert all(type(v) is int for v in index.cell_lo + index.cell_hi)
+            assert index.cell_cols.tolist() == cols.tolist() and index.cell_cols.dtype == cols.dtype
 
     @settings(max_examples=300, deadline=None)
     @given(case=cell_rows(bases=(0,)))
@@ -973,7 +1059,7 @@ class TestColumnPasses:
         order = sorted(range(len(rows)), key=lambda i: rows[i])  # stable: input order inside a cell
         cells = sorted(set(rows))
         assert index.order.tolist() == order
-        assert index.cell_array.tolist() == [list(cell) for cell in cells]
+        assert cell_ids(index).tolist() == [list(cell) for cell in cells]
         assert index.offsets.tolist() == [0, *itertools.accumulate(rows.count(cell) for cell in cells)]
         assert index.cell_lo == np.min(rows, axis=0).tolist() and index.cell_hi == np.max(rows, axis=0).tolist()
         assert all(type(v) is int for v in index.cell_lo + index.cell_hi)
@@ -1027,7 +1113,7 @@ class TestColumnPasses:
         order = sorted(range(len(rows)), key=lambda i: rows[i])  # stable: input order inside a cell
         cells = sorted(set(rows))
         assert index.order.tolist() == order
-        assert index.cell_array.tolist() == [list(cell) for cell in cells]
+        assert cell_ids(index).tolist() == [list(cell) for cell in cells]
         assert index.offsets.tolist() == [0, *itertools.accumulate(rows.count(cell) for cell in cells)]
         assert [key.dtype for key in calls[0]] == [dtype, dtype] and index.cell_cols.dtype == dtype
         assert index.cell_cols.tolist() == (np.array(cells, dtype=object) - index.cell_lo).T.tolist()
