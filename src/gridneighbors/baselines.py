@@ -16,6 +16,7 @@ from .core import (
     Neighbor,
     NeighborBuffer,
     PointSet,
+    _check_int,
     _check_metric,
     check_query,
     distances_to_keys,
@@ -66,11 +67,11 @@ class KdTree:
 
     def __init__(self, data: PointSet, metric: str = "euclidean", leaf_size: int = 16):
         _check_metric(metric)
-        if leaf_size < 1:
+        self.leaf_size = _check_int(leaf_size, "leaf_size")
+        if self.leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         self.coords, self.labels = data.coords, data.labels
         self.metric = metric
-        self.leaf_size = leaf_size
         self.root = self._build(np.arange(self.coords.shape[0]))
 
     @property

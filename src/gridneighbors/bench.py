@@ -116,6 +116,8 @@ def run_bench(
         data = datasets.load_csv(data)
     elif task is None:
         raise ValueError("task is required when passing points directly")
+    elif task not in datasets.TASKS:
+        raise ValueError(f"unknown task {task!r}; expected one of {datasets.TASKS}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     unknown = set(algos) - set(ALGOS)

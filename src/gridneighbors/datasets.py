@@ -16,6 +16,7 @@ import numpy as np
 from .core import PointSet, _check_int
 
 SCALER_KINDS = ("standard", "minmax", "none")
+TASKS = ("classification", "regression")
 
 
 class DatasetError(ValueError):
@@ -30,7 +31,7 @@ class DatasetSpec:
     has_header: bool = True
 
     def __post_init__(self) -> None:
-        if self.task not in ("classification", "regression"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if not isinstance(self.label_column, str):
             object.__setattr__(self, "label_column", _check_int(self.label_column, "label_column"))
@@ -88,6 +89,18 @@ def _label_index(spec: DatasetSpec, header: list[str] | None, ncols: int) -> int
         ) from None
 
 
+#: How many bytes of the file _parse_columns scans for newlines at once.
+_SCAN_BLOCK = 1 << 20
+
+
+class _ClassIds(dict):
+    """Label -> dense class id in order of first appearance, for both parsers; a known label is one C lookup."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = len(self)
+        return len(self) - 1
+
+
 def _parse_columns(spec: DatasetSpec, ncols: int, label_idx: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The data rows as (coords, labels) from one np.loadtxt pass, or None.
 
@@ -99,27 +112,34 @@ def _parse_columns(spec: DatasetSpec, ncols: int, label_idx: int) -> tuple[np.nd
     differs from the first row's, and a table ncols wide rules out a ragged
     row. np.loadtxt reads a number as float() does, but accepts fewer
     spellings (no "1_0", no non-ASCII digits); None also when it rejects a
-    field. A converter assigns class ids by _parse_rows' rule.
+    field. The line lengths come from a scan for newlines in _SCAN_BLOCK
+    blocks, which carries the last newline across blocks, so no file-sized
+    mask is made. The converter of a class label column is a _ClassIds lookup.
     """
     with open(spec.path, "rb") as fh:
         raw = fh.read()
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))  # the last line has no newline
-    line_bytes = np.diff(ends, prepend=-1)  # its newline included
+    view = np.frombuffer(raw, dtype=np.uint8)
+    blank, longest, end = False, 0, -1  # end: the last newline so far
+    for start in range(0, len(raw), _SCAN_BLOCK):
+        ends = np.flatnonzero(view[start : start + _SCAN_BLOCK] == ord("\n")) + start
+        if ends.size:
+            line_bytes = np.diff(ends, prepend=end)  # its newline included
+            blank |= bool((line_bytes == 1).any())
+            longest, end = max(longest, int(line_bytes.max())), int(ends[-1])
+    longest = max(longest, len(raw) - end)  # a last line without a newline
+    del view
     crs = raw.count(b"\r")
     if (
         ncols < 2
         or b'"' in raw
         or b"\0" in raw
         or (crs and (crs != raw.count(b"\r\n") or b"\n\r\n" in raw))
-        or (line_bytes == 1).any()
-        or line_bytes.max() > csv.field_size_limit()
+        or blank
+        or longest > csv.field_size_limit()
     ):
         return None
     del raw
-    class_ids: dict[str, int] = {}
-    classify = {label_idx: lambda s: class_ids.setdefault(s, len(class_ids))}
+    classify = {label_idx: _ClassIds().__getitem__}
     try:
         table = np.loadtxt(
             spec.path,
@@ -148,7 +168,7 @@ def _parse_rows(spec: DatasetSpec, rows: list[list[str]], ncols: int, label_idx:
     start_line = 2 if spec.has_header else 1
     coords: list[list[float]] = []
     labels: list[object] = []
-    class_ids: dict[str, int] = {}
+    class_ids = _ClassIds()
     for line, row in enumerate(rows, start_line):
         if len(row) != ncols:
             raise DatasetError(
@@ -160,7 +180,7 @@ def _parse_rows(spec: DatasetSpec, rows: list[list[str]], ncols: int, label_idx:
         except ValueError as exc:
             raise DatasetError(f"{spec.path}: line {line}: non-numeric feature: {exc}") from None
         if spec.task == "classification":
-            label = class_ids.setdefault(raw_label, len(class_ids))
+            label = class_ids[raw_label]
         else:
             try:
                 label = float(raw_label)

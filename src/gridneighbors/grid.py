@@ -3,16 +3,18 @@
 Cell widths are fitted per dimension by splitting the data range into
 the largest number of equal bins that leaves no bin empty; points are
 then hashed to integer cell ids by floor division of raw coordinates by
-the fitted widths. The fit sorts only the gaps wide enough to empty a
-bin and tests each split count against its widest gaps first; build
-sorts the cell ids less their box corner as the narrowest integers that
-hold the box (numpy radix-sorts 16-bit keys). The index stores the
-non-empty cells in CSR layout: sorted cell ids, the point indices sorted
-by cell, and one start offset per cell (the cell-sorted array with cell
-start offsets of S. Green, "Particle Simulation using CUDA", NVIDIA
-2010), which the query also reads the coordinates in, built on the first
-query. A cell id is the box corner plus its column of those narrow keys;
-the binary file (version 3; 1 and 2 still load) holds the arrays as is.
+the fitted widths. The fit finds each dimension's distinct values with
+one sort, sorts only the gaps wide enough to empty a bin and tests each
+split count against its widest gaps first; build sorts the cell ids less
+their box corner as the narrowest integers that hold the box (numpy
+radix-sorts 16-bit keys), made a dimension at a time with no (n, d) id
+matrix. The index stores the non-empty cells in CSR layout: sorted cell
+ids, the point indices sorted by cell, and one start offset per cell
+(the cell-sorted array with cell start offsets of S. Green, "Particle
+Simulation using CUDA", NVIDIA 2010), which the query also reads the
+coordinates in, built on the first query. A cell id is the box corner
+plus its column of those narrow keys; the binary file (version 3; 1 and
+2 still load) holds the arrays as is.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def _max_splits_1d(values: np.ndarray, dim: int = 0) -> tuple[int, float]:
     survivors are verified from the top down against all their gaps in
     broadcasts of at most _SPLIT_BLOCK elements. The first to pass wins.
     """
-    distinct = np.unique(values)
+    distinct = np.sort(values)  # np.unique would import numpy.ma
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     if distinct.size == 1:
         return 1, 1.0  # constant feature: any positive width works
     lo = float(distinct[0])
@@ -147,28 +150,19 @@ def hash_cell(p, params: GridParams) -> CellId:
         raise ValueError(f"dimension mismatch: point {p.shape}, grid {params.dim}")
     if not all(map(math.isfinite, p.tolist())):
         raise ValueError(f"point has a non-finite coordinate: {p}")
-    return tuple(_cell_ids(p, params.widths).tolist())
+    return tuple(_query_cell(p, params.widths))
 
 
 _TOO_FAR = "coordinates too far from the origin: a cell id leaves +-2**62"
 
 
-def _cell_ids(x: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """floor(x / widths) as int64, for one point or a matrix of points.
-
-    Raises ValueError when an id leaves +-2**62. Within that bound the cast
-    cannot overflow, and neither can the difference of two ids, which the
-    query's layer arithmetic takes.
-    """
-    ids = x / widths
-    np.floor(ids, out=ids)  # in place: one (n, d) temporary, not two
-    if not _within_cell_bound(ids.min(), ids.max()):
-        raise ValueError(_TOO_FAR)
-    return ids.astype(np.int64)
-
-
 def _query_cell(q: np.ndarray, widths: np.ndarray) -> list[int]:
-    """floor(q / widths) of one finite point as Python ints, in fewer numpy calls than _cell_ids."""
+    """floor(q / widths) of one finite point as Python ints.
+
+    Raises ValueError when an id leaves +-2**62. Within that bound neither
+    an id nor the difference of two ids, which the query's layer arithmetic
+    takes, overflows an int64.
+    """
     ids = np.floor(q / widths).tolist()
     if not _within_cell_bound(min(ids), max(ids)):  # q is finite: min and max can pass over a NaN
         raise ValueError(_TOO_FAR)
@@ -183,6 +177,31 @@ def _within_cell_bound(lo, hi) -> bool:
 def _box_dtype(side: int) -> np.dtype:
     """The narrowest of int16, int32 and int64 that holds +-side."""
     return np.dtype(next(t for t in (np.int16, np.int32, np.int64) if side <= np.iinfo(t).max))
+
+
+def _cell_keys(coords: np.ndarray, widths: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """_box_cols(floor(coords / widths)) of finite (n, d) coords, one column at a time.
+
+    Division by a positive width and floor are monotone, so each column's
+    extreme coordinates give its extreme ids: the +-2**62 check (ValueError)
+    and the dtype need no pass over the points, and no (n, d) ids are made.
+    """
+    # Column by column: coords.min(axis=0), a reduction across the rows, is about ten times slower.
+    lo, hi = (np.floor(np.array([f(col) for col in coords.T]) / widths) for f in (np.min, np.max))
+    if not _within_cell_bound(lo.min(), hi.max()):
+        raise ValueError(_TOO_FAR)
+    dtype = _box_dtype(int((hi - lo).max()) + 1)  # an integer below 2**53 is exact as a float
+    keys = np.empty((coords.shape[1], coords.shape[0]), dtype=dtype)
+    for row, col, w, a in zip(keys, coords.T, widths, lo):
+        ids = col / w
+        np.floor(ids, out=ids)
+        if dtype == np.int64:
+            row[:] = ids  # exact: the bound keeps ids inside int64
+            row -= int(a)
+        else:
+            ids -= a  # exact: the difference is an integer below 2**31
+            row[:] = ids
+    return [int(a) for a in lo], keys
 
 
 def _box_cols(cells: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -293,9 +312,10 @@ class GridIndex:
 def build(data: PointSet, metric: str = "euclidean", params: GridParams | None = None) -> GridIndex:
     """Build the grid index: fit widths, hash every point into its cell.
 
-    One stable lexsort orders the points by cell id less the box corner, in
-    _box_dtype, keeping input order inside each cell; each cell's first key
-    is its column of cell_cols. Pass explicit params to skip fitting.
+    _cell_keys makes the cell ids less the box corner, in _box_dtype, one
+    dimension at a time, with no (n, d) id matrix. One stable lexsort orders
+    the points by them, keeping input order inside each cell; each cell's
+    first key is its column of cell_cols. Pass explicit params to skip fitting.
     """
     _check_metric(metric)
     if params is None:
@@ -303,9 +323,8 @@ def build(data: PointSet, metric: str = "euclidean", params: GridParams | None =
     elif params.dim != data.coords.shape[1]:
         raise ValueError("params dimension does not match the data")
     n = data.coords.shape[0]
-    ids = _cell_ids(data.coords, params.widths)  # lives to the return: freed before the sort, build ran ~10% slower
     # int16 keys on a box of up to 2**15 - 1 cells a side, which numpy radix-sorts.
-    lo, cols = _box_cols(ids)
+    lo, cols = _cell_keys(data.coords, params.widths)
     order = np.lexsort(cols[::-1])
     cols = cols.take(order, axis=1)  # take: fancy indexing of a 2-D array is 3-4x slower
     new_cell = np.zeros(n - 1, dtype=bool)

@@ -76,8 +76,13 @@ class TestKdTree:
             assert as_pairs(kdtree_knn(tree, q, k)) == as_pairs(brute_knn(brute, q, k))
 
     def test_bad_leaf_size(self):
+        pts = points_from_arrays([[0.0]], [0])
         with pytest.raises(ValueError):
-            kdtree_build(points_from_arrays([[0.0]], [0]), leaf_size=0)
+            kdtree_build(pts, leaf_size=0)
+        for bad in (True, 2.5, float("nan"), "3", None):
+            with pytest.raises(TypeError, match="leaf_size must be an integer"):
+                kdtree_build(pts, leaf_size=bad)
+        assert kdtree_build(pts, leaf_size=np.int64(2)).leaf_size == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -67,6 +67,15 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(pts, algos=("brute",), k=17, task="classification")
 
+    def test_unknown_task_rejected_before_the_split(self, rng, monkeypatch):
+        from gridneighbors import datasets
+
+        pts, _ = clustered(rng, 50, 2)
+        monkeypatch.setattr(datasets, "split", lambda *a: pytest.fail("split ran"))
+        for task in ("cls", "Regression", ""):
+            with pytest.raises(ValueError, match=f"unknown task {task!r}"):
+                run_bench(pts, algos=("ghn",), k=3, task=task)
+
     def test_unknown_algo_rejected(self, rng):
         pts, _ = clustered(rng, 50, 2)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import csv
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,6 +250,20 @@ class TestLoadCsvMatchesRowLoop:
 
         assert _outcome(row_loop, spec) == _outcome(reference_load_csv, spec)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=csv_cases(), block=st.integers(1, 8))
+    @example(case=("a,b,label\n1,2,x\n\n3,4,y\n", "label", "classification", True), block=15)  # blank line on an edge
+    @example(case=("a,b,label\n1,2,x\n3,4," + "x" * 131_073, "label", "classification", True), block=4096)  # no last newline
+    @example(case=("a,b,label\n1,2,x\n3,4," + "x" * 131_073 + "\n", "label", "classification", True), block=4096)
+    def test_the_newline_scan_carries_across_blocks(self, tmp_path_factory, case, block):
+        # A file of many blocks: a line, blank or over the field limit, may span their edges.
+        text, label_column, task, has_header = case
+        path = tmp_path_factory.mktemp("csv") / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        spec = DatasetSpec(str(path), label_column, task, has_header)
+        with mock.patch.object(datasets, "_SCAN_BLOCK", block):
+            assert _outcome(load_csv, spec) == _outcome(reference_load_csv, spec)
+
     def test_a_decode_error_comes_before_a_label_column_error(self, tmp_path):
         # As in a full read, a bad byte past the first read block is reported
         # before an unknown label column.
@@ -256,6 +272,25 @@ class TestLoadCsvMatchesRowLoop:
         spec = DatasetSpec(str(path), "missing", "classification")
         assert _outcome(load_csv, spec) == _outcome(reference_load_csv, spec)
         assert _outcome(load_csv, spec)[0] is UnicodeDecodeError
+
+
+def test_load_csv_peaks_under_one_and_three_quarter_file_sizes(tmp_path, rng):
+    # The newline scan holds 1 MiB of its mask at a time, not one the size of the file.
+    X = rng.normal(20, 5, size=(30_000, 4))
+    labels = rng.integers(0, 6, 30_000).tolist()
+    path = tmp_path / "big.csv"
+    rows = (f"{a!r},{b!r},{c!r},{d!r},c{o}\n" for (a, b, c, d), o in zip(X.tolist(), labels))
+    path.write_text("f0,f1,f2,f3,label\n" + "".join(rows))
+    spec = DatasetSpec(str(path), "label", "classification")
+    load_csv(spec)  # warm
+    tracemalloc.start()
+    try:
+        pts = load_csv(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.coords.tobytes() == X.tobytes()
+    assert peak < 1.75 * path.stat().st_size, peak / path.stat().st_size
 
 
 class TestSplit:

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,7 +30,7 @@ from gridneighbors import (
     save_index,
 )
 from gridneighbors import grid
-from gridneighbors.grid import _LAYOUT, _MAGIC, _PROBE, _SPLIT_BLOCK, _max_splits_1d
+from gridneighbors.grid import _LAYOUT, _MAGIC, _PROBE, _SPLIT_BLOCK, _box_cols, _cell_keys, _max_splits_1d
 from helpers import cell_ids, regions, rewrite_index
 from reference_knn import BucketIndex
 from reference_knn import knn_query as reference_knn_query
@@ -172,6 +176,20 @@ class TestFitCellMeasurements:
         params = fit_cell_measurements(points_from_arrays(X, [0] * 80))
         spans = X.max(axis=0) - X.min(axis=0)
         assert np.all(params.widths * params.splits >= spans - 1e-9)
+
+
+def test_fit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call (14 ms, 0.5 MB kept).
+    code = (
+        "import sys, numpy as np, gridneighbors as g; assert 'numpy.ma' not in sys.modules; "
+        "g.fit_cell_measurements(g.points_from_arrays(np.random.default_rng(0).normal(size=(500, 3)), [0] * 500)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
 
 class TestSplitSearchBlocks:
@@ -386,6 +404,26 @@ class TestBuild:
         for cell in [(1,), (1, 1, 1), ()]:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 cell_points(index, cell)
+
+    @pytest.mark.parametrize("cells, bound", [("gaussian", 32), ("one point each", 48)])
+    def test_peak_memory_per_point_above_the_input(self, rng, cells, bound):
+        # The keys are made a column at a time: no (n, d) float or int64 id matrix.
+        n = 20_000
+        if cells == "gaussian":
+            pts = points_from_arrays(rng.normal(size=(n, 3)), [0] * n)
+            params = fit_cell_measurements(pts)
+        else:
+            pts = points_from_arrays(rng.permutation(n)[:, None] + np.zeros((n, 3)), [0] * n)
+            params = GridParams(np.ones(3), np.ones(3, dtype=int))
+        build(pts, params=params)  # warm
+        tracemalloc.start()
+        try:
+            index = build(pts, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.cell_cols.dtype == np.int16 and (cells == "gaussian") == (index.cell_cols.shape[1] < n)
+        assert peak < bound * n, peak / n
 
 
 class TestSerialization:
@@ -1008,6 +1046,39 @@ def cell_rows(draw, bases=_ID_BASES):
         i, j = draw(st.integers(1, len(rows) - 1)), draw(st.integers(1, d - 1))
         rows[i] = rows[i - 1][:j] + (rows[i - 1][j] - 1,) + rows[i][j + 1 :]
     return [tuple(b + v for b, v in zip(bases, row)) for row in rows], d
+
+
+#: Coordinates that put a box side at each dtype's edge, or an id near or past +-2**62, on the drawn widths.
+_KEY_EDGES = [0.0, -0.0, 0.5, -0.5, 32766.0, 32767.0, 2.0**31 - 2, 2.0**31 - 1, 2.0**61, float(_NEAR), 2.0**62]
+
+
+@st.composite
+def key_boxes(draw):
+    """Finite (n, d) coords, n in 1..6 and d in 1..3, and d positive widths."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from(_KEY_EDGES + [-v for v in _KEY_EDGES]), st.floats(-1e6, 1e6))
+    X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+    return X, np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 3.0, 1e-3]), min_size=d, max_size=d)))
+
+
+class TestCellKeys:
+    @settings(max_examples=400, deadline=None)
+    @given(case=key_boxes())
+    @example(case=(np.array([[-float(_NEAR)], [1.0]]), np.ones(1)))  # an int64 box: a float difference rounds
+    @example(case=(np.array([[0.0, -0.0], [32766.5, -0.0]]), np.ones(2)))  # the widest int16 box
+    @example(case=(np.array([[0.0], [32767.0]]), np.ones(1)))  # the narrowest int32 box
+    @example(case=(np.array([[-(2.0**62)], [0.0]]), np.ones(1)))  # an id on the bound
+    def test_equals_the_boxed_int64_ids(self, case):
+        X, widths = case
+        ids = np.floor(X / widths)
+        if not (ids.min() > -(2**62) and ids.max() < 2**62):
+            with pytest.raises(ValueError, match=r"2\*\*62"):
+                _cell_keys(X, widths)
+            return
+        lo, cols = _cell_keys(X, widths)
+        ref_lo, ref_cols = _box_cols(ids.astype(np.int64))
+        assert lo == ref_lo and all(type(a) is int for a in lo)
+        assert cols.dtype == ref_cols.dtype and cols.tolist() == ref_cols.tolist()
 
 
 class TestColumnPasses:
